@@ -1,5 +1,11 @@
-"""T8 bench (Fig. 10): the adaptive step (A) vs the global rerun (G) on
-the same accumulated graph — the paper's 0.55 s vs 122 s contrast."""
+"""T8 bench (Fig. 10): a whole adaptive step (A) vs the global rerun (G)
+on the same accumulated graph — the paper's 0.55 s vs 122 s contrast.
+
+The A step is what ``adaptive_simulation`` does per step: graph upkeep
+(expand the eval split's transactions, append them to the kept history
+rows, aggregate, build the CSR) plus the A-TxAllo update. The A-TxAllo
+call alone is ``bench_t7_adaptive.py::test_t7_a_txallo_step``.
+"""
 import numpy as np
 import pytest
 
@@ -8,27 +14,30 @@ from benchmarks.conftest import ETA, K
 
 
 @pytest.fixture(scope="module")
-def setup(bench_tx_pdf, bench_adj):
-    from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
+def setup(bench_tx_pdf):
+    from repro.graph import adjacency_from_pandas, aggregate_tx_edges, expand_tx_edges
     from repro.txallo import g_txallo
-    from repro.txallo.a_txallo import map_prev_labels
 
     hist, new = _split(bench_tx_pdf)
-    adj_hist = adjacency_from_pandas(build_tx_graph_pandas(hist))
+    hist_edges = expand_tx_edges(hist)
+    adj_hist = adjacency_from_pandas(aggregate_tx_edges(*hist_edges))
     base = g_txallo(adj_hist, k=K, eta=ETA, lam=len(hist) / K)
-    prev = map_prev_labels(bench_adj, adj_hist.nodes, base)
     hot_accounts = np.unique(np.concatenate([np.asarray(a) for a in new["accounts"]]))
-    hot = bench_adj.index_of(hot_accounts)
-    return prev, hot, len(bench_tx_pdf) / K
+    return hist_edges, new, adj_hist.nodes, base, hot_accounts, len(bench_tx_pdf) / K
 
 
-def test_t8_adaptive_step(benchmark, bench_adj, setup):
+def test_t8_adaptive_step(benchmark, setup):
+    from repro.graph import adjacency_from_pandas, aggregate_tx_edges, expand_tx_edges
     from repro.txallo import a_txallo
+    from repro.txallo.a_txallo import map_prev_labels
 
-    prev, hot, lam = setup
+    hist_edges, new, hist_nodes, base, hot_accounts, lam = setup
 
     def run():
-        return a_txallo(bench_adj, prev, hot, k=K, eta=ETA, lam=lam)
+        edges = tuple(np.concatenate(p) for p in zip(hist_edges, expand_tx_edges(new)))
+        adj = adjacency_from_pandas(aggregate_tx_edges(*edges))
+        prev = map_prev_labels(adj, hist_nodes, base)
+        return a_txallo(adj, prev, adj.index_of(hot_accounts), k=K, eta=ETA, lam=lam)
 
     benchmark(run)
 

@@ -2,8 +2,8 @@
 
 Used by the per-step adaptive simulation (Figs. 9-10) where the evaluation
 window is small and a Spark job per step would dominate the measured
-algorithm run time. ``tests/test_metrics_equivalence.py`` pins it to the
-Spark evaluator on identical inputs.
+algorithm run time. ``tests/test_metrics.py::TestPandasMirror`` pins it to
+the Spark evaluator on identical inputs.
 """
 from __future__ import annotations
 

@@ -1,9 +1,14 @@
 """Tests for the block-stepped adaptive simulation (sim.adaptive)."""
+import dataclasses
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.sim.adaptive as adaptive
 from repro.chain import EthParams, eth_transactions_pandas
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.sim.adaptive import adaptive_simulation
 
 
@@ -30,8 +35,12 @@ class TestStructure:
 
     def test_columns(self, sim):
         assert set(sim.columns) == {
-            "step", "variant", "algo", "seconds", "norm_throughput", "gamma",
+            "step", "variant", "algo", "seconds", "upkeep_seconds", "norm_throughput", "gamma",
         }
+
+    def test_upkeep_shared_by_variants_of_a_step(self, sim):
+        assert (sim["upkeep_seconds"] >= 0).all()
+        assert (sim.groupby("step")["upkeep_seconds"].nunique() == 1).all()
 
     def test_algo_tags(self, sim):
         g = sim[sim.variant == "G every step"]
@@ -69,10 +78,65 @@ class TestBehaviour:
         kw = dict(k=4, eta=2.0, step_blocks=2, split=0.8, tau2_steps=(3,), include_pure_g=False)
         a = adaptive_simulation(stream, **kw)
         b = adaptive_simulation(stream, **kw)
-        pd.testing.assert_frame_equal(
-            a.drop(columns="seconds"), b.drop(columns="seconds")
-        )
+        timing = ["seconds", "upkeep_seconds"]
+        pd.testing.assert_frame_equal(a.drop(columns=timing), b.drop(columns=timing))
 
     def test_empty_eval_split_rejected(self, stream):
         with pytest.raises(ValueError):
             adaptive_simulation(stream, k=4, eta=2.0, split=1.0)
+
+    def test_zero_split_rejected(self, stream):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            adaptive_simulation(stream, k=4, eta=2.0, split=0.0)
+
+    def test_split_below_one_block_rejected(self, stream):
+        n_blocks = stream["block"].nunique()
+        with pytest.raises(ValueError, match="history split is empty"):
+            adaptive_simulation(stream, k=4, eta=2.0, split=0.5 / n_blocks)
+
+
+def _frame_digest(df: pd.DataFrame) -> str:
+    """SHA-256 of the simulation frame's non-timing columns, bit for bit."""
+    h = hashlib.sha256()
+    for col in ("step", "variant", "algo", "norm_throughput", "gamma"):
+        vals = df[col].to_numpy()
+        h.update(col.encode())
+        if vals.dtype == object:
+            h.update("\x00".join(vals).encode())
+        else:
+            h.update(np.ascontiguousarray(vals).tobytes())
+    return h.hexdigest()
+
+
+class TestIncrementalUpkeep:
+    """The graph kept across steps equals a from-scratch rebuild, bit for bit."""
+
+    def test_kept_graph_equals_rebuild_every_step(self, stream, monkeypatch):
+        built = []
+
+        def recording(edges):
+            adj = adjacency_from_pandas(edges)
+            built.append(adj)
+            return adj
+
+        monkeypatch.setattr(adaptive, "adjacency_from_pandas", recording)
+        adaptive_simulation(
+            stream, k=6, eta=2.0, step_blocks=1, split=0.7, tau2_steps=(), include_pure_g=False
+        )
+        blocks = np.sort(stream["block"].unique())
+        n_hist = int(len(blocks) * 0.7)
+        assert len(built) == len(blocks) - n_hist + 1  # history, then one per step
+        for i, kept in enumerate(built):
+            cum = stream[stream["block"] <= blocks[n_hist - 1 + i]]
+            fresh = adjacency_from_pandas(build_tx_graph_pandas(cum))
+            for f in dataclasses.fields(fresh):
+                assert np.array_equal(getattr(kept, f.name), getattr(fresh, f.name)), (i, f.name)
+
+    def test_frame_digest_pinned(self, stream):
+        """Digest taken from the simulation that rebuilt the graph every step."""
+        df = adaptive_simulation(
+            stream, k=4, eta=2.0, step_blocks=1, split=0.6, tau2_steps=(2,), include_pure_g=True
+        )
+        assert _frame_digest(df) == (
+            "629bc5a90bbdaca3be6f7454c266b6acac15aef44e9e624d120ed5b645d2d0b2"
+        )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.chain.ethdata import TX_SCHEMA
-from repro.graph import build_tx_graph, build_tx_graph_pandas
+from repro.graph import build_tx_graph, build_tx_graph_pandas, expand_tx_edges
 from repro.oracle import assert_equivalent
 from tests.conftest import tiny_tx_pdf
 
@@ -98,6 +98,13 @@ class TestPandasMirror:
     def test_empty_stream(self):
         edges = build_tx_graph_pandas(pd.DataFrame({"tx_id": [], "block": [], "accounts": []}))
         assert len(edges) == 0
+
+    def test_expand_rows_in_transaction_then_pair_order(self):
+        """The adaptive simulation relies on this order to append step rows."""
+        src, dst, w = expand_tx_edges(tiny_tx_pdf())
+        assert src.tolist() == [1, 1, 3, 1, 4, 4, 5, 2, 1, 1, 1, 2, 2, 3, 5]
+        assert dst.tolist() == [2, 2, 3, 3, 5, 6, 6, 4, 2, 3, 4, 3, 4, 4, 6]
+        assert w.tolist() == [1.0] * 4 + [1 / 3] * 3 + [1.0] + [1 / 6] * 6 + [1.0]
 
 
 class TestOracle:
