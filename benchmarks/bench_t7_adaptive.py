@@ -14,6 +14,7 @@ def _split(bench_tx_pdf):
 
 
 def test_t7_a_txallo_step(benchmark, bench_tx_pdf, bench_adj):
+    from repro.chain import tx_incidence
     from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
     from repro.txallo import a_txallo, g_txallo
     from repro.txallo.a_txallo import map_prev_labels
@@ -23,10 +24,7 @@ def test_t7_a_txallo_step(benchmark, bench_tx_pdf, bench_adj):
     base = g_txallo(adj_hist, k=K, eta=ETA, lam=len(hist) / K)
     adj_full = bench_adj
     prev = map_prev_labels(adj_full, adj_hist.nodes, base)
-    hot_accounts = np.unique(
-        np.concatenate([np.asarray(a) for a in new["accounts"]])
-    )
-    hot = adj_full.index_of(hot_accounts)
+    hot = adj_full.index_of(np.unique(tx_incidence(new)[1]))
     lam = len(bench_tx_pdf) / K
 
     def run():

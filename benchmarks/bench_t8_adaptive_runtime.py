@@ -15,6 +15,7 @@ from benchmarks.conftest import ETA, K
 
 @pytest.fixture(scope="module")
 def setup(bench_tx_pdf):
+    from repro.chain import tx_incidence
     from repro.graph import adjacency_from_pandas, aggregate_tx_edges, expand_tx_edges
     from repro.txallo import g_txallo
 
@@ -22,7 +23,7 @@ def setup(bench_tx_pdf):
     hist_edges = expand_tx_edges(hist)
     adj_hist = adjacency_from_pandas(aggregate_tx_edges(*hist_edges))
     base = g_txallo(adj_hist, k=K, eta=ETA, lam=len(hist) / K)
-    hot_accounts = np.unique(np.concatenate([np.asarray(a) for a in new["accounts"]]))
+    hot_accounts = np.unique(tx_incidence(new)[1])
     return hist_edges, new, adj_hist.nodes, base, hot_accounts, len(bench_tx_pdf) / K
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency
+from repro.graph.adjacency import Adjacency, csr
 
 
 def _heavy_edge_matching(
@@ -81,14 +81,6 @@ def _contract(
     uk, inv = np.unique(key, return_inverse=True)
     agg = np.bincount(inv, weights=kw)
     return (uk // nc), (uk % nc), agg, cvw
-
-
-def _csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
-    order = np.lexsort((eu, ev))
-    ev, eu, ew = ev[order], eu[order], ew[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, ev + 1, 1)
-    return np.cumsum(indptr), eu, ew
 
 
 def _greedy_partition(
@@ -214,7 +206,7 @@ def metis_like(
     cur_vw = vw
     max_vw = vw.sum() / (4.0 * k)  # supernodes stay well under the part cap
     while n > target:
-        indptr, indices, weights = _csr(n, ev, eu, ew)
+        indptr, indices, weights = csr(n, ev, eu, ew)
         cmap = _heavy_edge_matching(n, indptr, indices, weights, cur_vw, max_vw)
         nc = int(cmap.max()) + 1
         if nc >= n:  # no contraction possible
@@ -223,13 +215,13 @@ def metis_like(
         ev, eu, ew, cur_vw = _contract(cmap, ev, eu, ew, cur_vw)
         n = nc
 
-    indptr, indices, weights = _csr(n, ev, eu, ew)
+    indptr, indices, weights = csr(n, ev, eu, ew)
     labels = _greedy_partition(n, indptr, indices, weights, cur_vw, k, cap)
     labels = _refine(labels, indptr, indices, weights, cur_vw, k, cap, refine_passes)
 
     # Project back through the levels, refining at each.
     for cmap, ev_i, eu_i, ew_i, vw_i in reversed(levels):
         labels = labels[cmap]
-        indptr, indices, weights = _csr(len(labels), ev_i, eu_i, ew_i)
+        indptr, indices, weights = csr(len(labels), ev_i, eu_i, ew_i)
         labels = _refine(labels, indptr, indices, weights, vw_i, k, cap, refine_passes)
     return labels

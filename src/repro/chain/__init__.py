@@ -3,4 +3,5 @@ from repro.chain.ethdata import (  # noqa: F401
     EthParams,
     eth_transactions,
     eth_transactions_pandas,
+    tx_incidence,
 )

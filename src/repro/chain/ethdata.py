@@ -21,12 +21,13 @@ features the evaluation depends on (paper Fig. 1):
 - **block-sequenced chronology** so the adaptive experiments (Figs. 9-10)
   can step through time, with accounts first appearing mid-stream.
 
-Scale factor semantics follow ``repro.synth_data``: SF=0.1 ~ 200k txs /
-~30k candidate accounts; tests use SF<=0.01.
+Scale factor: SF=0.1 ~ 200k txs / ~30k candidate accounts; tests use
+SF<=0.01.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pandas as pd
@@ -44,6 +45,33 @@ TX_SCHEMA = T.StructType(
         T.StructField("accounts", T.ArrayType(T.LongType(), False), nullable=False),
     ]
 )
+
+
+def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The transaction→account incidence of a stream, as ``(offsets, accounts)``:
+    the one place the driver reads the ``accounts`` lists.
+
+    Row ``i`` of ``tx_pdf`` touches ``accounts[offsets[i]:offsets[i+1]]``:
+    its account set A_Tx, sorted ascending and deduplicated. ``offsets``
+    has length ``|T|+1``; ``accounts`` is flat int64 in row order.
+
+    Every transaction touches at least one account (Definition 2 gives it
+    total edge weight 1); a row with an empty list raises ``ValueError``.
+    """
+    lists = tx_pdf["accounts"]
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    if (lengths == 0).any():
+        tx_id = tx_pdf["tx_id"].iloc[int(np.argmin(lengths))]
+        raise ValueError(f"transaction {tx_id} has no accounts")
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    owner = np.repeat(np.arange(len(lists)), lengths)
+    order = np.lexsort((flat, owner))
+    flat, owner = flat[order], owner[order]
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=len(lists)), out=offsets[1:])
+    return offsets, flat[keep]
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,25 @@ class Adjacency:
 
     def index_of(self, accounts: np.ndarray) -> np.ndarray:
         """Map account ids to node indices (must all be present)."""
-        idx = np.searchsorted(self.nodes, accounts)
-        if np.any(idx >= self.n) or np.any(self.nodes[np.minimum(idx, self.n - 1)] != accounts):
-            missing = np.asarray(accounts)[
-                (idx >= self.n) | (self.nodes[np.minimum(idx, self.n - 1)] != accounts)
-            ]
-            raise KeyError(f"accounts not in graph: {missing[:5]}...")
-        return idx
+        return index_of(self.nodes, accounts)
+
+
+def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
+    """Positions of ``accounts`` in the sorted id array ``nodes``; ``KeyError`` if absent."""
+    idx = np.searchsorted(nodes, accounts)
+    missing = (idx >= len(nodes)) | (nodes[np.minimum(idx, len(nodes) - 1)] != accounts)
+    if missing.any():
+        raise KeyError(f"accounts not in graph: {np.asarray(accounts)[missing][:5]}...")
+    return idx
+
+
+def csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
+    """CSR ``(indptr, indices, weights)`` of ``n`` nodes from directed edge
+    arrays; each node's neighbours come in ascending index order."""
+    order = np.lexsort((eu, ev))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ev, minlength=n), out=indptr[1:])
+    return indptr, eu[order], ew[order]
 
 
 def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
@@ -86,15 +98,10 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     np.add.at(self_w, si[loop], w[loop])
 
     nsi, ndi, nw = si[~loop], di[~loop], w[~loop]
-    ev = np.concatenate([nsi, ndi])
-    eu = np.concatenate([ndi, nsi])
-    ew = np.concatenate([nw, nw])
-
-    order = np.lexsort((eu, ev))
-    ev, eu, ew = ev[order], eu[order], ew[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, ev + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr, eu, ew = csr(
+        n, np.concatenate([nsi, ndi]), np.concatenate([ndi, nsi]), np.concatenate([nw, nw])
+    )
+    ev = np.repeat(np.arange(n), np.diff(indptr))
     return Adjacency(
         nodes=nodes,
         indptr=indptr,

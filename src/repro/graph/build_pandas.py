@@ -7,14 +7,15 @@ uses this mirror. ``tests/test_graph_build.py`` pins it row-for-row to the
 Spark builder.
 
 The build is two stages, :func:`expand_tx_edges` (one raw pair row per
-transaction pair) and :func:`aggregate_tx_edges` (sum per pair), so that
-the simulation can expand each step's transactions once and keep the raw
-rows across steps.
+transaction pair, read from the stream's incidence array
+:func:`repro.chain.ethdata.tx_incidence`) and :func:`aggregate_tx_edges`
+(sum per pair), so that the simulation can expand each step's
+transactions once and keep the raw rows across steps.
 """
-from itertools import combinations
-
 import numpy as np
 import pandas as pd
+
+from repro.chain.ethdata import tx_incidence
 
 
 def expand_tx_edges(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -25,29 +26,26 @@ def expand_tx_edges(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.nd
     Rows come in transaction order, and within a transaction in
     ``combinations`` order of its sorted accounts, so expanding two
     consecutive slices and concatenating gives the same rows as expanding
-    their concatenation.
+    their concatenation. Transactions of one arity ``n`` are expanded
+    together: ``np.triu_indices(n, 1)`` is the ``combinations`` order.
     """
-    srcs: list[int] = []
-    dsts: list[int] = []
-    ws: list[float] = []
-    for accounts in tx_pdf["accounts"]:
-        acc = sorted(set(accounts))
-        n = len(acc)
-        if n == 1:
-            srcs.append(acc[0])
-            dsts.append(acc[0])
-            ws.append(1.0)
-            continue
-        w = 2.0 / (n * (n - 1))
-        for u, v in combinations(acc, 2):
-            srcs.append(u)
-            dsts.append(v)
-            ws.append(w)
-    return (
-        np.asarray(srcs, dtype=np.int64),
-        np.asarray(dsts, dtype=np.int64),
-        np.asarray(ws, dtype=np.float64),
-    )
+    offsets, accounts = tx_incidence(tx_pdf)
+    arity = np.diff(offsets)
+    n_rows = np.where(arity == 1, 1, arity * (arity - 1) // 2)
+    first_row = np.concatenate([[0], np.cumsum(n_rows)])
+    src = np.empty(first_row[-1], dtype=np.int64)
+    dst = np.empty(first_row[-1], dtype=np.int64)
+    weight = np.empty(first_row[-1], dtype=np.float64)
+    for n in np.unique(arity).tolist():
+        iu, ju = np.triu_indices(n, 1 if n > 1 else 0)  # n == 1: the self-loop (0, 0)
+        w = 2.0 / (n * (n - 1)) if n > 1 else 1.0
+        txs = np.nonzero(arity == n)[0]
+        rows = first_row[txs, None] + np.arange(len(iu))
+        base = offsets[txs, None]
+        src[rows] = accounts[base + iu]
+        dst[rows] = accounts[base + ju]
+        weight[rows] = w
+    return src, dst, weight
 
 
 def aggregate_tx_edges(src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> pd.DataFrame:

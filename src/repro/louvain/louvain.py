@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency
+from repro.graph.adjacency import Adjacency, csr
 
 
 def modularity(adj: Adjacency, labels: np.ndarray) -> float:
@@ -104,14 +104,6 @@ def _coarsen(
     return node_map, (uk // nc), (uk % nc), agg_w, coarse_self
 
 
-def _csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
-    order = np.lexsort((eu, ev))
-    ev, eu, ew = ev[order], eu[order], ew[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, ev + 1, 1)
-    return np.cumsum(indptr), eu, ew
-
-
 def louvain(adj: Adjacency, *, max_levels: int = 20, max_sweeps: int = 20) -> np.ndarray:
     """Community labels (compact, 0-based) for every node of ``adj``.
 
@@ -129,7 +121,7 @@ def louvain(adj: Adjacency, *, max_levels: int = 20, max_sweeps: int = 20) -> np
         m2 = float(deg.sum())
         if m2 <= 0:
             break
-        indptr, indices, weights = _csr(nn, ev, eu, ew)
+        indptr, indices, weights = csr(nn, ev, eu, ew)
         labels, any_move = _sweep_until_stable(
             indptr, indices, weights, deg, m2, max_sweeps
         )

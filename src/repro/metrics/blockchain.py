@@ -58,17 +58,15 @@ def tx_mu(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
     )
 
 
-def shard_stats(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
-    """Per-shard aggregates ``(shard, n_intra, n_cross, lam_hat)``.
+def shard_stats(mu_df: DataFrame) -> DataFrame:
+    """Per-shard aggregates ``(shard, n_intra, n_cross, lam_hat)`` of a
+    :func:`tx_mu` frame.
 
     A transaction with span μ contributes one row per involved shard
     (explode of the shard set), counting 1 intra or 1 cross transaction
     and ``1/μ`` of throughput (§III-B's redundant-counting rule).
     """
-    mu_df = tx_mu(tx_df, alloc_df)
-    per_shard = mu_df.select(
-        "tx_id", "mu", F.explode("shards").alias("shard")
-    )
+    per_shard = mu_df.select("tx_id", "mu", F.explode("shards").alias("shard"))
     return per_shard.groupBy("shard").agg(
         F.sum(F.when(F.col("mu") == 1, 1).otherwise(0)).alias("n_intra"),
         F.sum(F.when(F.col("mu") > 1, 1).otherwise(0)).alias("n_cross"),
@@ -76,10 +74,38 @@ def shard_stats(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
     )
 
 
-def _rollup(
-    stats: pd.DataFrame, *, k: int, eta: float, lam: float, n_txs: int, n_cross_total: int
+def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> tuple[int, int, pd.DataFrame]:
+    """One Spark pass producing the η-independent evaluation state:
+    ``(n_txs, n_cross_total, per-shard stats frame)``.
+
+    η only scales the cross-transaction workload in the rollup, so a
+    parameter sweep over η reuses this result (see sim.runner)."""
+    n_txs = tx_df.count()
+    mu_df = tx_mu(tx_df, alloc_df).cache()
+    try:
+        n_cross = mu_df.filter(F.col("mu") > 1).count()
+        stats = shard_stats(mu_df).toPandas()
+    finally:
+        mu_df.unpersist()
+    return n_txs, n_cross, stats
+
+
+def rollup(
+    n_txs: int,
+    n_cross_total: int,
+    stats: pd.DataFrame,
+    *,
+    k: int,
+    eta: float,
+    lam: float | None = None,
 ) -> AllocationMetrics:
-    """Assemble AllocationMetrics from the per-shard stats frame."""
+    """Finish an evaluation for one η from the η-independent state that
+    :func:`collect_stats` (or the pandas evaluator) produces.
+
+    ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1).
+    """
+    if lam is None:
+        lam = n_txs / k
     sigmas = np.zeros(k, dtype=np.float64)
     lam_hats = np.zeros(k, dtype=np.float64)
     shard_idx = stats["shard"].to_numpy(np.int64)
@@ -103,46 +129,6 @@ def _rollup(
         worst_latency=formulas.worst_latency(sigmas, lam),
         sigmas=sigmas,
     )
-
-
-def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> tuple[int, int, pd.DataFrame]:
-    """One Spark pass producing the η-independent evaluation state:
-    ``(n_txs, n_cross_total, per-shard stats frame)``.
-
-    η only scales the cross-transaction workload in the rollup, so a
-    parameter sweep over η reuses this result (see sim.runner)."""
-    n_txs = tx_df.count()
-    mu_df = tx_mu(tx_df, alloc_df).cache()
-    try:
-        n_cross = mu_df.filter(F.col("mu") > 1).count()
-        per_shard = mu_df.select("tx_id", "mu", F.explode("shards").alias("shard"))
-        stats = (
-            per_shard.groupBy("shard")
-            .agg(
-                F.sum(F.when(F.col("mu") == 1, 1).otherwise(0)).alias("n_intra"),
-                F.sum(F.when(F.col("mu") > 1, 1).otherwise(0)).alias("n_cross"),
-                F.sum(1.0 / F.col("mu")).alias("lam_hat"),
-            )
-            .toPandas()
-        )
-    finally:
-        mu_df.unpersist()
-    return n_txs, n_cross, stats
-
-
-def rollup(
-    n_txs: int,
-    n_cross_total: int,
-    stats: pd.DataFrame,
-    *,
-    k: int,
-    eta: float,
-    lam: float | None = None,
-) -> AllocationMetrics:
-    """Finish an evaluation from :func:`collect_stats` output for one η."""
-    if lam is None:
-        lam = n_txs / k
-    return _rollup(stats, k=k, eta=eta, lam=lam, n_txs=n_txs, n_cross_total=n_cross_total)
 
 
 def evaluate(

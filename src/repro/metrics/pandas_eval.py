@@ -1,4 +1,6 @@
-"""Pandas mirror of :mod:`repro.metrics.blockchain`.
+"""Pandas mirror of :mod:`repro.metrics.blockchain`, vectorised over the
+stream's transaction→account incidence array
+(:func:`repro.chain.ethdata.tx_incidence`).
 
 Used by the per-step adaptive simulation (Figs. 9-10) where the evaluation
 window is small and a Spark job per step would dominate the measured
@@ -10,64 +12,49 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.metrics import formulas
-from repro.metrics.blockchain import AllocationMetrics, _rollup
+from repro.chain.ethdata import tx_incidence
+from repro.graph.adjacency import index_of
+from repro.metrics.blockchain import AllocationMetrics, rollup
 
 
 def evaluate_pandas(
     tx_pdf: pd.DataFrame,
-    shard_of: dict[int, int] | np.ndarray,
+    labels: np.ndarray,
     *,
     k: int,
     eta: float,
     lam: float | None = None,
-    accounts: np.ndarray | None = None,
+    accounts: np.ndarray,
 ) -> AllocationMetrics:
     """Evaluate an allocation on a pandas transaction frame.
 
-    ``shard_of`` is either a dict ``account -> shard`` or a label array
-    aligned with the sorted unique account ids in ``accounts``.
+    ``labels[i]`` is the shard of account ``accounts[i]``; ``accounts`` is
+    sorted and must cover every account of the stream (``KeyError``
+    otherwise).
+
+    Every incidence entry is mapped to its shard; sorting the
+    ``(tx, shard)`` pairs and dropping repeats leaves each transaction's
+    shard set, so μ is a count per transaction. Per shard, ``bincount``
+    adds the ``1/μ`` shares in transaction order.
     """
-    n_txs = len(tx_pdf)
-    if lam is None:
-        lam = n_txs / k
+    offsets, incidence = tx_incidence(tx_pdf)
+    n_txs = len(offsets) - 1
+    shard = np.asarray(labels, dtype=np.int64)[index_of(accounts, incidence)]
+    tx = np.repeat(np.arange(n_txs), np.diff(offsets))
+    order = np.lexsort((shard, tx))
+    tx, shard = tx[order], shard[order]
+    first = np.ones(len(tx), dtype=bool)
+    first[1:] = (tx[1:] != tx[:-1]) | (shard[1:] != shard[:-1])
+    tx, shard = tx[first], shard[first]
 
-    if isinstance(shard_of, dict):
-        lookup = shard_of.__getitem__
-    else:
-        if accounts is None:
-            raise ValueError("label-array form requires the sorted `accounts` array")
-        acc_sorted = accounts
-
-        def lookup(a: int) -> int:
-            i = int(np.searchsorted(acc_sorted, a))
-            if i >= len(acc_sorted) or acc_sorted[i] != a:
-                raise KeyError(a)
-            return int(shard_of[i])
-
-    n_intra = np.zeros(k, dtype=np.float64)
-    n_cross = np.zeros(k, dtype=np.float64)
-    lam_hat = np.zeros(k, dtype=np.float64)
-    n_cross_total = 0
-    for acc_list in tx_pdf["accounts"]:
-        shards = {lookup(int(a)) for a in acc_list}
-        mu = len(shards)
-        if mu == 1:
-            (s,) = shards
-            n_intra[s] += 1
-            lam_hat[s] += 1.0
-        else:
-            n_cross_total += 1
-            for s in shards:
-                n_cross[s] += 1
-                lam_hat[s] += 1.0 / mu
-
+    mu = np.bincount(tx, minlength=n_txs)
+    cross = mu[tx] > 1
     stats = pd.DataFrame(
         {
             "shard": np.arange(k),
-            "n_intra": n_intra,
-            "n_cross": n_cross,
-            "lam_hat": lam_hat,
+            "n_intra": np.bincount(shard[~cross], minlength=k),
+            "n_cross": np.bincount(shard[cross], minlength=k),
+            "lam_hat": np.bincount(shard, weights=1.0 / mu[tx], minlength=k),
         }
     )
-    return _rollup(stats, k=k, eta=eta, lam=lam, n_txs=n_txs, n_cross_total=n_cross_total)
+    return rollup(n_txs, int((mu > 1).sum()), stats, k=k, eta=eta, lam=lam)

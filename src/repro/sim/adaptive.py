@@ -19,6 +19,8 @@ execution time; graph upkeep is reported in its own column,
 Graph upkeep expands each transaction into its raw pair rows once: the
 history is expanded before the first step, and each step appends only its
 own rows before the kept rows are aggregated into the step's graph. The
+expansion, the hot accounts V̂ and the evaluation all read the step's
+incidence array (:func:`repro.chain.ethdata.tx_incidence`). The
 kept rows are exactly the rows a from-scratch expansion of the accumulated
 history gives, in the same order, so the aggregated weights (and every
 label computed from them) equal a full rebuild's bit for bit.
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro.chain.ethdata import tx_incidence
 from repro.graph.adjacency import Adjacency, adjacency_from_pandas
 from repro.graph.build_pandas import aggregate_tx_edges, expand_tx_edges
 from repro.metrics.pandas_eval import evaluate_pandas
@@ -54,8 +57,8 @@ class _VariantState:
 
 
 def _hot_nodes(adj: Adjacency, step_pdf: pd.DataFrame) -> np.ndarray:
-    accs = np.unique(np.concatenate([np.asarray(a, dtype=np.int64) for a in step_pdf["accounts"]]))
-    return adj.index_of(accs)
+    """Node indices of the accounts the step's transactions touch (V̂)."""
+    return adj.index_of(np.unique(tx_incidence(step_pdf)[1]))
 
 
 def adaptive_simulation(

@@ -6,6 +6,8 @@ it is deterministic in the generator seed.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -33,6 +35,11 @@ def tx_df(spark, tx_pdf):
     df = spark.createDataFrame(tx_pdf.to_dict("records"), schema=TX_SCHEMA).cache()
     df.count()
     return df
+
+
+def label_digest(labels: np.ndarray) -> str:
+    """SHA-256 of a label array as int64, for pinning labels bit for bit."""
+    return hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int64).tobytes()).hexdigest()
 
 
 def tiny_tx_pdf() -> pd.DataFrame:

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.chain import EthParams, eth_transactions_pandas
+from repro.chain import EthParams, eth_transactions_pandas, tx_incidence
 from repro.chain.ethdata import (
     _activity_weights,
     _community_assignment,
@@ -77,6 +77,19 @@ class TestSchema:
         flat = [a for lst in small["accounts"] for a in lst]
         assert min(flat) >= 0
         assert max(flat) < p.n_accounts
+
+
+class TestIncidence:
+    def test_sorts_and_deduplicates_each_transaction(self):
+        pdf = pd.DataFrame({"tx_id": [0, 1, 2], "accounts": [[3, 1, 3], [2], [5, 4]]})
+        offsets, accounts = tx_incidence(pdf)
+        assert offsets.tolist() == [0, 2, 3, 5]
+        assert accounts.tolist() == [1, 3, 2, 4, 5]
+
+    def test_matches_generated_lists(self, small):
+        offsets, accounts = tx_incidence(small)
+        parts = np.split(accounts, offsets[1:-1])
+        assert [p.tolist() for p in parts] == [list(a) for a in small["accounts"]]
 
 
 class TestShape:

@@ -7,7 +7,7 @@ from repro.graph import adjacency_from_pandas
 from repro.metrics.graphlevel import graph_gamma, graph_metrics
 from repro.txallo import g_txallo
 from repro.txallo.state import TxAlloState
-from tests.conftest import two_cliques_edges
+from tests.conftest import label_digest, two_cliques_edges
 
 
 def run(adj, k=8, eta=2.0, lam=None, **kw):
@@ -32,6 +32,13 @@ class TestContract:
     def test_k_equals_one(self, adj):
         labels = run(adj, k=1)
         assert (labels == 0).all()
+
+    def test_labels_pinned(self, tx_pdf, adj):
+        """Kernel refactors must not move a single label on the SMALL stream."""
+        labels = g_txallo(adj, k=20, eta=2.0, lam=len(tx_pdf) / 20)
+        assert label_digest(labels) == (
+            "c078336ed117d39410f8a05511f1093393c437fbea74c782b2f42490b397e038"
+        )
 
     @pytest.mark.parametrize("k", [2, 4, 16])
     def test_various_k(self, adj, k):

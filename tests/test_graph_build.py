@@ -99,6 +99,12 @@ class TestPandasMirror:
         edges = build_tx_graph_pandas(pd.DataFrame({"tx_id": [], "block": [], "accounts": []}))
         assert len(edges) == 0
 
+    def test_tx_without_accounts_rejected(self):
+        pdf = tiny_tx_pdf()
+        pdf.at[5, "accounts"] = []
+        with pytest.raises(ValueError, match="transaction 5 has no accounts"):
+            build_tx_graph_pandas(pdf)
+
     def test_expand_rows_in_transaction_then_pair_order(self):
         """The adaptive simulation relies on this order to append step rows."""
         src, dst, w = expand_tx_edges(tiny_tx_pdf())

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graph import adjacency_from_pandas
 from repro.louvain import louvain, modularity
-from tests.conftest import two_cliques_edges
+from tests.conftest import label_digest, two_cliques_edges
 
 
 def ring_of_cliques(n_cliques: int, size: int, bridge_w: float = 0.1) -> pd.DataFrame:
@@ -77,6 +77,12 @@ class TestProperties:
 
     def test_good_modularity_on_planted_structure(self, adj):
         assert modularity(adj, louvain(adj)) > 0.5
+
+    def test_labels_pinned(self, adj):
+        """Kernel refactors must not move a single label on the SMALL stream."""
+        assert label_digest(louvain(adj)) == (
+            "21c43b615c3b01c9b62de7563f5f94deb35ee0d70791899935debb32599148e8"
+        )
 
 
 class TestModularityFunction:

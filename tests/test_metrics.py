@@ -16,6 +16,8 @@ from repro.oracle import assert_equivalent
 from tests.conftest import tiny_tx_pdf
 
 TINY_ALLOC = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
+TINY_ACCOUNTS = np.array(list(TINY_ALLOC))
+TINY_LABELS = np.array(list(TINY_ALLOC.values()))
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +77,7 @@ class TestTinyHandComputed:
         np.testing.assert_allclose(m.norm_sigmas, [2.0, 1.5])
 
     def test_shard_stats_frame(self, tiny_df, tiny_alloc_df):
-        stats = shard_stats(tiny_df, tiny_alloc_df).toPandas().sort_values("shard")
+        stats = shard_stats(tx_mu(tiny_df, tiny_alloc_df)).toPandas().sort_values("shard")
         assert stats["n_intra"].tolist() == [4, 2]
         assert stats["n_cross"].tolist() == [2, 2]
         np.testing.assert_allclose(stats["lam_hat"], [5.0, 3.0])
@@ -84,7 +86,7 @@ class TestTinyHandComputed:
 class TestPandasMirror:
     def test_tiny_matches_spark(self, tiny_df, tiny_alloc_df):
         m_s = evaluate(tiny_df, tiny_alloc_df, k=2, eta=2.0)
-        m_p = evaluate_pandas(tiny_tx_pdf(), TINY_ALLOC, k=2, eta=2.0)
+        m_p = evaluate_pandas(tiny_tx_pdf(), TINY_LABELS, k=2, eta=2.0, accounts=TINY_ACCOUNTS)
         assert m_p.gamma == m_s.gamma
         np.testing.assert_allclose(m_p.sigmas, m_s.sigmas)
         assert m_p.throughput == pytest.approx(m_s.throughput)
@@ -103,22 +105,20 @@ class TestPandasMirror:
         assert m_p.throughput == pytest.approx(m_s.throughput)
         assert m_p.worst_latency == m_s.worst_latency
 
-    def test_dict_and_array_forms_agree(self, tx_pdf, adj):
-        labels = hash_alloc(adj.nodes, 4)
-        as_dict = {int(a): int(s) for a, s in zip(adj.nodes, labels)}
-        m_a = evaluate_pandas(tx_pdf, labels, k=4, eta=2.0, accounts=adj.nodes)
-        m_d = evaluate_pandas(tx_pdf, as_dict, k=4, eta=2.0)
-        assert m_a.gamma == m_d.gamma
-        np.testing.assert_allclose(m_a.sigmas, m_d.sigmas)
-
     def test_array_form_requires_accounts(self, tx_pdf):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="accounts"):
             evaluate_pandas(tx_pdf, np.zeros(3, dtype=int), k=2, eta=2.0)
 
     def test_missing_account_raises(self):
         pdf = tiny_tx_pdf()
         with pytest.raises(KeyError):
-            evaluate_pandas(pdf, {1: 0}, k=2, eta=2.0)
+            evaluate_pandas(pdf, np.zeros(1, dtype=int), k=2, eta=2.0, accounts=np.array([1]))
+
+    def test_tx_without_accounts_rejected(self):
+        pdf = tiny_tx_pdf()
+        pdf.at[3, "accounts"] = []
+        with pytest.raises(ValueError, match="transaction 3 has no accounts"):
+            evaluate_pandas(pdf, TINY_LABELS, k=2, eta=2.0, accounts=TINY_ACCOUNTS)
 
 
 class TestRollupPlumbing:
@@ -154,7 +154,7 @@ class TestOracle:
         labels = hash_alloc(adj.nodes, 6)
         alloc = pd.DataFrame({"account": adj.nodes, "shard": labels})
         alloc_df = spark.createDataFrame(alloc)
-        got = shard_stats(tx_df, alloc_df).select("shard", "n_intra", "n_cross", "lam_hat")
+        got = shard_stats(tx_mu(tx_df, alloc_df)).select("shard", "n_intra", "n_cross", "lam_hat")
         exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
         exploded["account"] = exploded["account"].astype("int64")
         sql = """

@@ -1,4 +1,4 @@
-"""Sanity tests for the provided oracle + TPC-H-lite plumbing.
+"""Sanity tests for the DuckDB oracle on the Ethereum-like stream.
 
 These keep the shared scaffolding honest: the DuckDB oracle must accept a
 correct Spark query and reject a wrong one.
@@ -6,58 +6,32 @@ correct Spark query and reject a wrong one.
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.001).cache()
+def txs(tx_df):
+    """The stream with its account list reduced to a scalar arity."""
+    return tx_df.select("tx_id", "block", F.size("accounts").alias("n_acc")).cache()
 
 
 class TestOracle:
-    def test_accepts_correct_aggregation(self, spark, li):
-        got = (
-            li.groupBy("l_returnflag")
-            .agg(
-                F.count("*").alias("n"),
-                F.sum("l_quantity").alias("qty"),
-            )
+    def test_accepts_correct_aggregation(self, txs):
+        got = txs.groupBy("block").agg(
+            F.count("*").alias("n"),
+            F.sum("n_acc").alias("n_acc"),
         )
-        sql = """
-            SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS qty
-            FROM lineitem GROUP BY l_returnflag
-        """
-        assert_equivalent(got, sql, lineitem=li)
+        sql = "SELECT block, COUNT(*) AS n, SUM(n_acc) AS n_acc FROM txs GROUP BY block"
+        assert_equivalent(got, sql, txs=txs)
 
-    def test_rejects_wrong_result(self, spark, li):
-        got = (
-            li.groupBy("l_returnflag")
-            .agg((F.count("*") + 1).alias("n"))  # deliberately off by one
-        )
-        sql = "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"
+    def test_rejects_wrong_result(self, txs):
+        got = txs.groupBy("block").agg((F.count("*") + 1).alias("n"))  # deliberately off by one
+        sql = "SELECT block, COUNT(*) AS n FROM txs GROUP BY block"
         with pytest.raises(AssertionError):
-            assert_equivalent(got, sql, lineitem=li)
+            assert_equivalent(got, sql, txs=txs)
 
-    def test_rejects_column_mismatch(self, spark, li):
-        got = li.groupBy("l_returnflag").agg(F.count("*").alias("wrong_name"))
-        sql = "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY l_returnflag"
+    def test_rejects_column_mismatch(self, txs):
+        got = txs.groupBy("block").agg(F.count("*").alias("wrong_name"))
+        sql = "SELECT block, COUNT(*) AS n FROM txs GROUP BY block"
         with pytest.raises(AssertionError, match="column mismatch"):
-            assert_equivalent(got, sql, lineitem=li)
-
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.0005, seed=1).toPandas()
-        b = synth_data.lineitem(spark, sf=0.0005, seed=1).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=20_000, n_keys=1000).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.median()
-
-    def test_uniform_keys_flat(self, spark):
-        df = synth_data.uniform_keys(spark, n=20_000, n_keys=10).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.max() < 1.3 * counts.min()
+            assert_equivalent(got, sql, txs=txs)
