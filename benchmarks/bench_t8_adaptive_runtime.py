@@ -3,14 +3,21 @@ on the same accumulated graph — the paper's 0.55 s vs 122 s contrast.
 
 The A step is what ``adaptive_simulation`` does per step: graph upkeep
 (expand the eval split's transactions, append them to the kept history
-rows, aggregate, build the CSR) plus the A-TxAllo update. The A-TxAllo
-call alone is ``bench_t7_adaptive.py::test_t7_a_txallo_step``.
+rows, aggregate, build the CSR) plus the A-TxAllo update.
 """
 import numpy as np
 import pytest
 
-from benchmarks.bench_t7_adaptive import _split
 from benchmarks.conftest import ETA, K
+
+
+def _split(bench_tx_pdf):
+    """The 9:1 history/evaluation split by block."""
+    blocks = np.sort(bench_tx_pdf["block"].unique())
+    cut = blocks[int(len(blocks) * 0.9) - 1]
+    hist = bench_tx_pdf[bench_tx_pdf["block"] <= cut]
+    new = bench_tx_pdf[bench_tx_pdf["block"] > cut]
+    return hist.reset_index(drop=True), new.reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,14 @@ multilevel scheme from scratch:
 1. **Coarsening** — heavy-edge matching: visit nodes in ascending order,
    match each unmatched node with its heaviest unmatched neighbor;
    contract matched pairs and aggregate edges until the coarse graph is
-   small (≤ max(8k, 64) nodes) or shrinkage stalls.
-2. **Initial partition** — greedy k-way growth on the coarsest graph:
-   nodes in descending vertex-weight order go to the part with the
-   highest edge affinity among parts under the balance cap, falling back
-   to the lightest part.
+   small (≤ max(8k, 64) nodes) or a level contracts nothing. There is no
+   shrinkage-rate stop: on hub-centric graphs the ``max_vw`` guard lets
+   a level match only a few nodes, so coarsening runs 130 levels at
+   SF 0.1 and 399 at SF 0.5 (ROADMAP item 1).
+2. **Initial partition** — greedy graph growing on the coarsest graph:
+   parts grow one at a time from the heaviest unassigned node, absorbing
+   the frontier node most strongly connected to the part until it reaches
+   its weight target or the balance cap; the last part takes the rest.
 3. **Uncoarsening + refinement** — project labels level by level and run
    boundary FM-style passes: move a node to the neighboring part with the
    best edge-cut gain when the move keeps the part under the cap.
@@ -27,11 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, csr
+from repro.graph.adjacency import Adjacency, contract, csr, label_weights
+
+IMBALANCE = 0.05  # part weight cap: (1 + IMBALANCE) x the even share
+REFINE_PASSES = 4  # refinement passes per level
 
 
 def _heavy_edge_matching(
-    n: int,
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
@@ -45,42 +50,24 @@ def _heavy_edge_matching(
     enough for the initial partition to balance (without it, hub-centric
     transaction graphs collapse into one giant unsplittable supernode).
     """
-    match = np.full(n, -1, dtype=np.int64)
+    indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
+    vw = vw.tolist()
+    n = len(indptr) - 1
+    match = [-1] * n
     for v in range(n):
         if match[v] >= 0:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        nbr, w = indices[lo:hi], weights[lo:hi]
-        ok = (match[nbr] < 0) & (nbr != v) & (vw[nbr] + vw[v] <= max_vw)
-        nbr, w = nbr[ok], w[ok]
-        if nbr.size:
-            u = int(nbr[np.argmax(w)])  # first max -> smallest index tie-break
-            match[v] = v
-            match[u] = v
-        else:
-            match[v] = v
+        match[v] = v
+        best, best_w = -1, -np.inf
+        for i in range(indptr[v], indptr[v + 1]):
+            u = indices[i]
+            # strict > keeps the first (smallest-index) heaviest neighbour
+            if match[u] < 0 and vw[u] + vw[v] <= max_vw and weights[i] > best_w:
+                best, best_w = u, weights[i]
+        if best >= 0:
+            match[best] = v
     _, compact = np.unique(match, return_inverse=True)
     return compact
-
-
-def _contract(
-    cmap: np.ndarray,
-    ev: np.ndarray,
-    eu: np.ndarray,
-    ew: np.ndarray,
-    vw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate the graph under a coarse-node map; drops self-edges
-    (irrelevant to edge-cut) and sums vertex weights."""
-    nc = int(cmap.max()) + 1
-    cvw = np.bincount(cmap, weights=vw, minlength=nc)
-    cev, ceu = cmap[ev], cmap[eu]
-    keep = cev != ceu
-    cev, ceu, kw = cev[keep], ceu[keep], ew[keep]
-    key = cev.astype(np.int64) * nc + ceu
-    uk, inv = np.unique(key, return_inverse=True)
-    agg = np.bincount(inv, weights=kw)
-    return (uk // nc), (uk % nc), agg, cvw
 
 
 def _greedy_partition(
@@ -147,81 +134,63 @@ def _refine(
     vw: np.ndarray,
     k: int,
     cap: float,
-    passes: int,
 ) -> np.ndarray:
     """Boundary FM-style refinement: positive-gain moves under the cap."""
-    n = len(labels)
-    part_w = np.bincount(labels, weights=vw, minlength=k)
-    for _ in range(passes):
+    part_w = np.bincount(labels, weights=vw, minlength=k).tolist()
+    labels, vw = labels.tolist(), vw.tolist()
+    indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
+    for _ in range(REFINE_PASSES):
         moved = 0
-        for v in range(n):
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr, w = indices[lo:hi], weights[lo:hi]
-            if not nbr.size:
-                continue
+        for v in range(len(labels)):
+            acc = label_weights(v, indptr, indices, weights, labels)
             p = labels[v]
-            labs = labels[nbr]
-            if (labs == p).all():
+            own = acc.pop(p, 0.0)
+            best, best_gain = -1, 1e-12
+            for q in sorted(acc):  # strict > keeps the smallest label on ties
+                gain = acc[q] - own
+                if gain > best_gain and part_w[q] + vw[v] <= cap:
+                    best, best_gain = q, gain
+            if best < 0:
                 continue
-            uniq, inv = np.unique(labs, return_inverse=True)
-            wsum = np.bincount(inv, weights=w)
-            own = float(wsum[uniq == p].sum())
-            gains = wsum - own
-            fits = part_w[uniq] + vw[v] <= cap
-            cand = (uniq != p) & fits & (gains > 1e-12)
-            if not cand.any():
-                continue
-            j = int(np.argmax(np.where(cand, gains, -np.inf)))
-            q = int(uniq[j])
             part_w[p] -= vw[v]
-            part_w[q] += vw[v]
-            labels[v] = q
+            part_w[best] += vw[v]
+            labels[v] = best
             moved += 1
         if not moved:
             break
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
-def metis_like(
-    adj: Adjacency,
-    k: int,
-    *,
-    imbalance: float = 0.05,
-    coarsen_to: int | None = None,
-    refine_passes: int = 4,
-) -> np.ndarray:
+def metis_like(adj: Adjacency, k: int, *, coarsen_to: int | None = None) -> np.ndarray:
     """Partition ``adj`` into ``k`` parts balancing weighted degree.
 
     Returns labels in ``[0, k)`` per node index. Deterministic.
     """
     vw = adj.strength + adj.self_w  # tx-participation weight of the account
     vw = np.maximum(vw, 1e-12)  # isolated nodes still occupy a slot
-    cap = (1.0 + imbalance) * vw.sum() / k
+    cap = (1.0 + IMBALANCE) * vw.sum() / k
     target = coarsen_to or max(8 * k, 64)
 
-    ev, eu, ew = adj.ev, adj.eu, adj.ew
-    n = adj.n
-    # Each entry: (cmap to next level, this level's graph + vertex weights).
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    cur_vw = vw
+    indptr, indices, weights = adj.indptr, adj.indices, adj.weights
+    ev, n = adj.ev, adj.n
+    # Each entry: (cmap to next level, this level's CSR + vertex weights).
+    levels: list[tuple[np.ndarray, ...]] = []
     max_vw = vw.sum() / (4.0 * k)  # supernodes stay well under the part cap
     while n > target:
-        indptr, indices, weights = csr(n, ev, eu, ew)
-        cmap = _heavy_edge_matching(n, indptr, indices, weights, cur_vw, max_vw)
+        cmap = _heavy_edge_matching(indptr, indices, weights, vw, max_vw)
         nc = int(cmap.max()) + 1
         if nc >= n:  # no contraction possible
             break
-        levels.append((cmap, ev, eu, ew, cur_vw))
-        ev, eu, ew, cur_vw = _contract(cmap, ev, eu, ew, cur_vw)
+        levels.append((cmap, indptr, indices, weights, vw))
+        ev, eu, ew, _ = contract(cmap, nc, ev, indices, weights)
+        indptr, indices, weights = csr(nc, ev, eu, ew)
+        vw = np.bincount(cmap, weights=vw, minlength=nc)
         n = nc
 
-    indptr, indices, weights = csr(n, ev, eu, ew)
-    labels = _greedy_partition(n, indptr, indices, weights, cur_vw, k, cap)
-    labels = _refine(labels, indptr, indices, weights, cur_vw, k, cap, refine_passes)
+    labels = _greedy_partition(n, indptr, indices, weights, vw, k, cap)
+    labels = _refine(labels, indptr, indices, weights, vw, k, cap)
 
     # Project back through the levels, refining at each.
-    for cmap, ev_i, eu_i, ew_i, vw_i in reversed(levels):
-        labels = labels[cmap]
-        indptr, indices, weights = csr(len(labels), ev_i, eu_i, ew_i)
-        labels = _refine(labels, indptr, indices, weights, vw_i, k, cap, refine_passes)
+    for cmap, indptr, indices, weights, vw in reversed(levels):
+        labels = _refine(labels[cmap], indptr, indices, weights, vw, k, cap)
     return labels

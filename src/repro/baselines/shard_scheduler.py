@@ -36,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+BUFFER_RATIO = 1.0  # placement cap = BUFFER_RATIO·λ; buffer = 1 per §VI-B1
+
 
 @dataclass(frozen=True)
 class SchedulerResult:
@@ -68,15 +70,14 @@ def shard_scheduler(
     *,
     eta: float,
     lam: float,
-    buffer_ratio: float = 1.0,
 ) -> SchedulerResult:
     """Stream transactions in ``tx_id`` order.
 
     ``lam`` is the per-shard capacity over the full window (λ = |T|/k in
-    the paper's setting); the placement cap is ``buffer_ratio·λ``.
+    the paper's setting); the placement cap is ``BUFFER_RATIO·λ``.
     Deterministic.
     """
-    cap = buffer_ratio * lam
+    cap = BUFFER_RATIO * lam
     order = np.argsort(tx_pdf["tx_id"].to_numpy(), kind="stable")
     accounts_col = tx_pdf["accounts"].to_numpy(object)
 

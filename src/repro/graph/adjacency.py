@@ -9,7 +9,8 @@ list; this module gives it a compact, deterministic in-memory shape:
   array is its position here (deterministic — the paper suggests ordering
   nodes by account hash; we order by account id, equally deterministic).
 - CSR over non-self edges (both directions), ``self_w`` for self-loops.
-- flat directed edge arrays ``ev/eu/ew`` (each undirected edge appears
+- ``ev``, the source node of each CSR slot, so that ``(ev, indices,
+  weights)`` are flat directed edge arrays (each undirected edge appears
   twice) for vectorized per-community aggregation with ``np.bincount``.
 """
 from __future__ import annotations
@@ -35,9 +36,7 @@ class Adjacency:
     indices: np.ndarray  # int32/int64 neighbor node-indices
     weights: np.ndarray  # float64 edge weights, aligned with indices
     self_w: np.ndarray  # float64, per-node self-loop weight
-    ev: np.ndarray = field(repr=False)  # directed edge source index
-    eu: np.ndarray = field(repr=False)  # directed edge target index
-    ew: np.ndarray = field(repr=False)  # directed edge weight
+    ev: np.ndarray = field(repr=False)  # source node index of each CSR slot
 
     @property
     def n(self) -> int:
@@ -46,12 +45,12 @@ class Adjacency:
     @property
     def strength(self) -> np.ndarray:
         """s_v: total incident weight excluding self-loops."""
-        return np.bincount(self.ev, weights=self.ew, minlength=self.n)
+        return np.bincount(self.ev, weights=self.weights, minlength=self.n)
 
     @property
     def total_weight(self) -> float:
         """Sum of undirected edge weights + self-loop weights (= |T|)."""
-        return float(self.ew.sum() / 2.0 + self.self_w.sum())
+        return float(self.weights.sum() / 2.0 + self.self_w.sum())
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor indices, weights) of node index ``v``, self excluded."""
@@ -81,6 +80,35 @@ def csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
     return indptr, eu[order], ew[order]
 
 
+def label_weights(v: int, indptr: list, indices: list, weights: list, labels: list) -> dict:
+    """Edge weight from node ``v`` into each label its neighbours carry.
+
+    Takes the CSR as Python lists (no numpy call per node) and adds the
+    weights in CSR slot order, so each sum equals ``np.bincount`` over the
+    same slots bit for bit. The one neighbour-label scan of the Louvain,
+    METIS-like and TxAllo local moves.
+    """
+    acc: dict = {}
+    for i in range(indptr[v], indptr[v + 1]):
+        lab = labels[indices[i]]
+        acc[lab] = acc.get(lab, 0.0) + weights[i]
+    return acc
+
+
+def contract(cmap: np.ndarray, nc: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
+    """Directed edges under the coarse-node map ``cmap`` (``nc`` coarse
+    nodes): ``(ev, eu, ew, loop_w)`` with parallel edges summed, sorted by
+    ``(ev, eu)``, and the weight of the edges that became self-loops summed
+    per coarse node in ``loop_w`` (each undirected edge counted twice)."""
+    cev, ceu = cmap[ev], cmap[eu]
+    loop = cev == ceu
+    loop_w = np.bincount(cev[loop], weights=ew[loop], minlength=nc)
+    keep = ~loop
+    key = cev[keep].astype(np.int64) * nc + ceu[keep]
+    uk, inv = np.unique(key, return_inverse=True)
+    return uk // nc, uk % nc, np.bincount(inv, weights=ew[keep]), loop_w
+
+
 def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     """Build an :class:`Adjacency` from an aggregated ``(src,dst,weight)``
     edge frame (canonical ``src <= dst``, unique pairs)."""
@@ -98,19 +126,12 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     np.add.at(self_w, si[loop], w[loop])
 
     nsi, ndi, nw = si[~loop], di[~loop], w[~loop]
-    indptr, eu, ew = csr(
+    indptr, indices, weights = csr(
         n, np.concatenate([nsi, ndi]), np.concatenate([ndi, nsi]), np.concatenate([nw, nw])
     )
     ev = np.repeat(np.arange(n), np.diff(indptr))
     return Adjacency(
-        nodes=nodes,
-        indptr=indptr,
-        indices=eu.copy(),
-        weights=ew.copy(),
-        self_w=self_w,
-        ev=ev,
-        eu=eu,
-        ew=ew,
+        nodes=nodes, indptr=indptr, indices=indices, weights=weights, self_w=self_w, ev=ev
     )
 
 

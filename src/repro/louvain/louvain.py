@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, csr
+from repro.graph.adjacency import Adjacency, contract, csr, label_weights
+
+MAX_LEVELS = 20  # coarsening levels
+MAX_SWEEPS = 20  # local-move sweeps per level
 
 
 def modularity(adj: Adjacency, labels: np.ndarray) -> float:
@@ -26,7 +29,7 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
     m2 = deg.sum()
     if m2 == 0:
         return 0.0
-    intra2 = adj.ew[labels[adj.ev] == labels[adj.eu]].sum()  # 2x intra (no self)
+    intra2 = adj.weights[labels[adj.ev] == labels[adj.indices]].sum()  # 2x intra (no self)
     intra = intra2 / 2.0 + adj.self_w.sum()
     n_comm = int(labels.max()) + 1
     comm_deg = np.bincount(labels, weights=deg, minlength=n_comm)
@@ -34,88 +37,50 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 
 
 def _sweep_until_stable(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    deg: np.ndarray,
-    m2: float,
-    max_sweeps: int,
+    indptr: list, indices: list, weights: list, deg: list, m2: float
 ) -> tuple[np.ndarray, bool]:
     """Run local-move sweeps on one level; returns (labels, any_move)."""
     n = len(indptr) - 1
-    labels = np.arange(n, dtype=np.int64)
-    comm_deg = deg.copy()
+    labels = list(range(n))
+    comm_deg = list(deg)
     any_move = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         moved = 0
         for v in range(n):
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr = indices[lo:hi]
-            w = weights[lo:hi]
+            acc = label_weights(v, indptr, indices, weights, labels)
+            dv = deg[v]
             c_old = labels[v]
-            comm_deg[c_old] -= deg[v]
-            if nbr.size:
-                labs = labels[nbr]
-                uniq, inv = np.unique(labs, return_inverse=True)
-                wsum = np.bincount(inv, weights=w)
-                gains = wsum - deg[v] * comm_deg[uniq] / m2
-                j = int(np.argmax(gains))  # first max -> smallest label wins ties
-                best, best_gain = int(uniq[j]), float(gains[j])
-            else:
-                best, best_gain = c_old, -np.inf
-            own_pos = np.searchsorted(uniq, c_old) if nbr.size else 0
-            if nbr.size and own_pos < len(uniq) and uniq[own_pos] == c_old:
-                own_gain = float(gains[own_pos])
-            else:
-                own_gain = -deg[v] * comm_deg[c_old] / m2
+            comm_deg[c_old] -= dv
+            own_gain = acc.get(c_old, 0.0) - dv * comm_deg[c_old] / m2
+            best, best_gain = c_old, -np.inf
+            for c in sorted(acc):  # strict > keeps the smallest label on ties
+                gain = acc[c] - dv * comm_deg[c] / m2
+                if gain > best_gain:
+                    best, best_gain = c, gain
             if best_gain > own_gain + 1e-12 and best != c_old:
                 labels[v] = best
-                comm_deg[best] += deg[v]
+                comm_deg[best] += dv
                 moved += 1
             else:
-                comm_deg[c_old] += deg[v]
+                comm_deg[c_old] += dv
         if moved:
             any_move = True
         else:
             break
-    return labels, any_move
+    return np.array(labels, dtype=np.int64), any_move
 
 
-def _coarsen(
-    labels: np.ndarray,
-    ev: np.ndarray,
-    eu: np.ndarray,
-    ew: np.ndarray,
-    self_w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate communities into supernodes; returns compacted
-    (node_map, ev, eu, ew, self_w) of the coarse graph."""
-    uniq, node_map = np.unique(labels, return_inverse=True)
-    nc = len(uniq)
-    cev, ceu = node_map[ev], node_map[eu]
-    loop = cev == ceu
-    coarse_self = np.bincount(node_map, weights=self_w, minlength=nc)
-    coarse_self += np.bincount(cev[loop], weights=ew[loop], minlength=nc) / 2.0
-    keep = ~loop
-    cev, ceu, kw = cev[keep], ceu[keep], ew[keep]
-    key = cev.astype(np.int64) * nc + ceu
-    uk, inv = np.unique(key, return_inverse=True)
-    agg_w = np.bincount(inv, weights=kw)
-    return node_map, (uk // nc), (uk % nc), agg_w, coarse_self
-
-
-def louvain(adj: Adjacency, *, max_levels: int = 20, max_sweeps: int = 20) -> np.ndarray:
+def louvain(adj: Adjacency) -> np.ndarray:
     """Community labels (compact, 0-based) for every node of ``adj``.
 
     Deterministic; the number of communities is data-driven (typically
     ≫ k for long-tailed transaction graphs, per the paper §V-B).
     """
-    n = adj.n
-    ev, eu, ew = adj.ev.copy(), adj.eu.copy(), adj.ew.copy()
-    self_w = adj.self_w.copy()
-    result = np.arange(n, dtype=np.int64)
+    ev, eu, ew = adj.ev, adj.indices, adj.weights
+    self_w = adj.self_w
+    result = np.arange(adj.n, dtype=np.int64)
 
-    for _ in range(max_levels):
+    for _ in range(MAX_LEVELS):
         nn = len(self_w)
         deg = np.bincount(ev, weights=ew, minlength=nn) + 2.0 * self_w
         m2 = float(deg.sum())
@@ -123,17 +88,15 @@ def louvain(adj: Adjacency, *, max_levels: int = 20, max_sweeps: int = 20) -> np
             break
         indptr, indices, weights = csr(nn, ev, eu, ew)
         labels, any_move = _sweep_until_stable(
-            indptr, indices, weights, deg, m2, max_sweeps
+            indptr.tolist(), indices.tolist(), weights.tolist(), deg.tolist(), m2
         )
-        node_map, ev, eu, ew, self_w = _coarsen(labels, ev, eu, ew, self_w)
-        result = _compose(result, labels, node_map)
+        # Communities become supernodes; intra edges fold into self-loops.
+        uniq, node_map = np.unique(labels, return_inverse=True)
+        ev, eu, ew, loop_w = contract(node_map, len(uniq), ev, eu, ew)
+        self_w = np.bincount(node_map, weights=self_w, minlength=len(uniq)) + loop_w / 2.0
+        result = node_map[labels[result]]
         if not any_move or len(self_w) == nn:
             break
     # Compact final labels to 0..n_comm-1 preserving order of first use.
     _, compact = np.unique(result, return_inverse=True)
     return compact
-
-
-def _compose(result: np.ndarray, labels: np.ndarray, node_map: np.ndarray) -> np.ndarray:
-    """original node -> current coarse node, through this level's moves."""
-    return node_map[labels[result]]

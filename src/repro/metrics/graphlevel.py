@@ -29,14 +29,14 @@ def community_state(
     """
     labels = np.asarray(labels)
     assigned_e = labels[adj.ev] >= 0
-    same = assigned_e & (labels[adj.ev] == labels[adj.eu])
+    same = assigned_e & (labels[adj.ev] == labels[adj.indices])
     cross = assigned_e & ~same
 
     lab_ev = np.where(labels[adj.ev] >= 0, labels[adj.ev], 0)
     # Each undirected intra edge appears twice in the directed arrays with
     # the same community on both rows -> bincount gives 2x intra weight.
-    intra2 = np.bincount(lab_ev[same], weights=adj.ew[same], minlength=n_comm)
-    cut = np.bincount(lab_ev[cross], weights=adj.ew[cross], minlength=n_comm)
+    intra2 = np.bincount(lab_ev[same], weights=adj.weights[same], minlength=n_comm)
+    cut = np.bincount(lab_ev[cross], weights=adj.weights[cross], minlength=n_comm)
 
     node_assigned = labels >= 0
     selfsum = np.bincount(
@@ -56,8 +56,8 @@ def graph_gamma(adj: Adjacency, labels: np.ndarray) -> float:
     transaction has exactly two accounts.
     """
     labels = np.asarray(labels)
-    cross = labels[adj.ev] != labels[adj.eu]
-    cut_w = adj.ew[cross].sum() / 2.0
+    cross = labels[adj.ev] != labels[adj.indices]
+    cut_w = adj.weights[cross].sum() / 2.0
     total = adj.total_weight
     return float(cut_w / total) if total else 0.0
 

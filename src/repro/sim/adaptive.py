@@ -44,6 +44,8 @@ from repro.metrics.pandas_eval import evaluate_pandas
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
 
+EPS_SCALE = 1e-5  # the paper's ε = 1e-5·|T|
+
 
 @dataclass
 class _VariantState:
@@ -70,7 +72,6 @@ def adaptive_simulation(
     split: float = 0.9,
     tau2_steps: tuple[int, ...] = (2, 4, 10),
     include_pure_g: bool = True,
-    eps_scale: float = 1e-5,
 ) -> pd.DataFrame:
     """Run the §VI-C simulation; one row per (step, variant).
 
@@ -125,7 +126,7 @@ def adaptive_simulation(
         upkeep = time.perf_counter() - t0
         n_txs += len(step_pdf)
         lam_full = n_txs / k
-        eps = eps_scale * n_txs
+        eps = EPS_SCALE * n_txs
         hot = _hot_nodes(adj, step_pdf)
         lam_step = len(step_pdf) / k
 

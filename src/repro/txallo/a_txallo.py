@@ -15,6 +15,8 @@ from repro.graph.adjacency import Adjacency
 from repro.txallo.g_txallo import _assign_by_join, _optimize
 from repro.txallo.state import TxAlloState
 
+MAX_SWEEPS = 100  # cap on the local-move sweeps over V-hat
+
 
 def map_prev_labels(
     adj: Adjacency, prev_accounts: np.ndarray, prev_labels: np.ndarray
@@ -43,7 +45,6 @@ def a_txallo(
     eta: float,
     lam: float,
     eps: float | None = None,
-    max_sweeps: int = 100,
 ) -> np.ndarray:
     """Run Algorithm 2; returns shard labels in ``[0, k)`` per node index.
 
@@ -64,5 +65,5 @@ def a_txallo(
     state = TxAlloState(adj, prev_labels, k, eta=eta, lam=lam)
     new_nodes = hot[prev_labels[hot] < 0]  # ascending order => deterministic
     _assign_by_join(state, new_nodes)
-    _optimize(state, hot, eps, max_sweeps)
+    _optimize(state, hot, eps, MAX_SWEEPS)
     return state.labels

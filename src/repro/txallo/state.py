@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency
+from repro.graph.adjacency import Adjacency, label_weights
 from repro.metrics.formulas import clip_throughput
 from repro.metrics.graphlevel import community_state
 
@@ -32,7 +32,8 @@ class TxAlloState:
     ``labels[v]`` is the community of node index ``v``; ``-1`` marks an
     unassigned node (contributes nothing; its incident edges count as
     cross for assigned neighbors, consistent with
-    :func:`~repro.metrics.graphlevel.community_state`).
+    :func:`~repro.metrics.graphlevel.community_state`). Change
+    ``labels`` only through :meth:`move`.
     """
 
     def __init__(
@@ -47,6 +48,14 @@ class TxAlloState:
             raise ValueError("labels must be < k (or -1 for unassigned)")
         self.sigma, self.lam_hat = community_state(adj, self.labels, k, eta=eta)
         self._s = adj.strength
+        # Python-list copies for the per-node scan of `best_move`;
+        # `move` keeps `_labels_l` equal to `labels`.
+        self._indptr_l = adj.indptr.tolist()
+        self._ind_l = adj.indices.tolist()
+        self._w_l = adj.weights.tolist()
+        self._self_l = adj.self_w.tolist()
+        self._s_l = self._s.tolist()
+        self._labels_l = self.labels.tolist()
 
     # -- read-side helpers -------------------------------------------------
     def throughput(self) -> float:
@@ -107,24 +116,16 @@ class TxAlloState:
         """Δ_(v,p,q) Λ = Δ_leave Λ_p + Δ_join Λ_q (Eq. 8), per target."""
         return self.leave_gain(v) + self.join_gain(v, targets, w_vq)
 
-    # -- fused fast path ---------------------------------------------------
+    # -- sweep path --------------------------------------------------------
     #
     # The numpy methods above are the readable reference (and the test
-    # oracle); the sweep loops call `best_move`, a fused pure-Python
-    # version of candidate aggregation + Eq. (8). For the low-degree
-    # nodes that dominate transaction graphs, per-node numpy-call
-    # overhead (~25 µs) dwarfs the actual work; the fused path runs an
-    # order of magnitude faster and is bit-identical in its decisions
+    # oracle); the sweep loops call `best_move`, which gets ℂ_v and the
+    # w_{v,q} from `label_weights`, the neighbour-label scan that Louvain
+    # and METIS-like share, and evaluates Eq. (8) in pure Python. For the
+    # low-degree nodes that dominate transaction graphs, per-node
+    # numpy-call overhead (~25 µs) dwarfs the actual work; this path runs
+    # an order of magnitude faster and is bit-identical in its decisions
     # (ties broken toward the smallest shard label in both).
-
-    def _ensure_fast(self) -> None:
-        if hasattr(self, "_ind_l"):
-            return
-        self._ind_l = self.adj.indices.tolist()
-        self._w_l = self.adj.weights.tolist()
-        self._indptr_l = self.adj.indptr.tolist()
-        self._self_l = self.adj.self_w.tolist()
-        self._s_l = self._s.tolist()
 
     def _clip1(self, sig: float, lh: float) -> float:
         if sig <= self.lam:
@@ -142,22 +143,11 @@ class TxAlloState:
 
         Returns None when ℂ_v is empty and ``join_only`` is False (the
         node stays, Alg. 1 line 13's skip)."""
-        self._ensure_fast()
-        labels = self.labels
         sigma, lam_hat = self.sigma, self.lam_hat
-        p = int(labels[v])
-        lo, hi = self._indptr_l[v], self._indptr_l[v + 1]
-        acc: dict[int, float] = {}
-        w_own = 0.0
-        ind, wl = self._ind_l, self._w_l
-        for i in range(lo, hi):
-            lu = int(labels[ind[i]])
-            if lu < 0:
-                continue
-            if lu == p:
-                w_own += wl[i]
-            else:
-                acc[lu] = acc.get(lu, 0.0) + wl[i]
+        p = self._labels_l[v]
+        acc = label_weights(v, self._indptr_l, self._ind_l, self._w_l, self._labels_l)
+        acc.pop(-1, None)  # unassigned neighbours
+        w_own = acc.pop(p, 0.0)
         if not acc:
             if not join_only:
                 return None
@@ -212,3 +202,4 @@ class TxAlloState:
         self.sigma[q] += w_vv + self.eta * (s_v - w_vq) + (1.0 - self.eta) * w_vq
         self.lam_hat[q] += w_vv + s_v / 2.0
         self.labels[v] = q
+        self._labels_l[v] = int(q)

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
+from repro.graph.adjacency import label_weights
 from tests.conftest import tiny_tx_pdf, two_cliques_edges
 
 
@@ -28,7 +29,7 @@ class TestStructure:
         assert idx3 not in nbr
 
     def test_directed_edges_symmetric(self, tiny_adj):
-        fwd = set(zip(tiny_adj.ev.tolist(), tiny_adj.eu.tolist()))
+        fwd = set(zip(tiny_adj.ev.tolist(), tiny_adj.indices.tolist()))
         assert all((u, v) in fwd for v, u in fwd)
         assert len(tiny_adj.ev) % 2 == 0
 
@@ -44,7 +45,11 @@ class TestStructure:
         assert partners == {2, 3, 4}
 
     def test_csr_weights_match_edge_arrays(self, tiny_adj):
-        assert tiny_adj.ew.sum() == pytest.approx(
+        # ``(ev, indices, weights)`` are the directed edge arrays: ``ev``
+        # holds the source node of each CSR slot.
+        slot_src = np.repeat(np.arange(tiny_adj.n), np.diff(tiny_adj.indptr))
+        np.testing.assert_array_equal(tiny_adj.ev, slot_src)
+        assert tiny_adj.weights.sum() == pytest.approx(
             2.0 * (tiny_adj.total_weight - tiny_adj.self_w.sum())
         )
 
@@ -63,6 +68,21 @@ class TestIndexOf:
             tiny_adj.index_of(np.array([0]))
 
 
+class TestLabelWeights:
+    def test_equals_bincount_bit_for_bit(self, adj):
+        """The list scan must give the sums ``np.unique`` + ``np.bincount``
+        give over the same CSR slots exactly, so the kernels built on it
+        keep their labels."""
+        labels = np.arange(adj.n) % 7 - 1  # includes the unassigned label -1
+        lists = adj.indptr.tolist(), adj.indices.tolist(), adj.weights.tolist()
+        for v in range(adj.n):
+            got = label_weights(v, *lists, labels.tolist())
+            nbr, w = adj.neighbors(v)
+            uniq, inv = np.unique(labels[nbr], return_inverse=True)
+            want = dict(zip(uniq.tolist(), np.bincount(inv, weights=w).tolist()))
+            assert got == want
+
+
 class TestTwoCliques:
     def test_shape(self):
         adj = adjacency_from_pandas(two_cliques_edges(n=4))
@@ -78,7 +98,7 @@ class TestTwoCliques:
 
 class TestGeneratedInvariants:
     def test_no_negative_weights(self, adj):
-        assert (adj.ew > 0).all()
+        assert (adj.weights > 0).all()
         assert (adj.self_w >= 0).all()
 
     def test_indptr_consistent(self, adj):

@@ -7,7 +7,7 @@ from repro.baselines import hash_alloc, metis_like, shard_scheduler
 from repro.graph import adjacency_from_pandas
 from repro.metrics.blockchain import rollup
 from repro.metrics.graphlevel import graph_gamma
-from tests.conftest import two_cliques_edges
+from tests.conftest import label_digest, two_cliques_edges
 
 
 class TestHashAlloc:
@@ -80,6 +80,17 @@ class TestMetisLike:
         assert len(set(labels[:6])) == 1
         assert len(set(labels[6:])) == 1
         assert labels[0] != labels[6]
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (4, "67cc5bdb2a15337abc658d4fe164d2c3867c2b83686e6e3ce436c0f011190a95"),
+            (20, "763c30e6e380feda2d63d845eae5de0a7c8d9dfc47fe3c635949f03fdc5f3254"),
+        ],
+    )
+    def test_labels_pinned(self, adj, k, digest):
+        """Kernel refactors must not move a single label on the SMALL stream."""
+        assert label_digest(metis_like(adj, k)) == digest
 
     def test_tiny_graph_no_coarsening(self):
         adj = adjacency_from_pandas(two_cliques_edges(n=3, bridge_w=0.5))

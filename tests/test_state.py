@@ -113,8 +113,8 @@ class TestGainMath:
 
 
 class TestBestMoveFastPath:
-    """The fused pure-Python `best_move` must make bit-identical
-    decisions to the numpy reference path (candidates + Eq. 8)."""
+    """The pure-Python `best_move` must make bit-identical decisions to
+    the numpy reference path (candidates + Eq. 8), also after moves."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("eta,lam_scale", [(2.0, 1.0), (6.0, 0.3)])
@@ -138,6 +138,8 @@ class TestBestMoveFastPath:
             assert gain == pytest.approx(float(gains[j]), abs=1e-10)
             assert w == pytest.approx(float(w_vq[j]))
             assert w_own == pytest.approx(state.own_weight(v))
+            if gain > 0.0:
+                state.move(v, q, w, w_own)
 
     def test_join_only_matches_join_gain(self, adj):
         k = 4
