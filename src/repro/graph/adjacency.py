@@ -73,8 +73,11 @@ def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
 
 def csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
     """CSR ``(indptr, indices, weights)`` of ``n`` nodes from directed edge
-    arrays; each node's neighbours come in ascending index order."""
-    order = np.lexsort((eu, ev))
+    arrays; each node's neighbours come in ascending index order.
+
+    A stable sort of the one key ``ev·n + eu`` gives the permutation of
+    ``np.lexsort((eu, ev))``."""
+    order = np.argsort(ev.astype(np.int64) * n + eu, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ev, minlength=n), out=indptr[1:])
     return indptr, eu[order], ew[order]
@@ -116,10 +119,9 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     dst = edges["dst"].to_numpy(np.int64)
     w = edges["weight"].to_numpy(np.float64)
 
-    nodes = np.unique(np.concatenate([src, dst]))
+    nodes, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
     n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
+    si, di = inv[: len(src)], inv[len(src) :]
 
     loop = si == di
     self_w = np.zeros(n)
