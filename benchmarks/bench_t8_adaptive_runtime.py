@@ -2,8 +2,9 @@
 on the same accumulated graph — the paper's 0.55 s vs 122 s contrast.
 
 The A step is what ``adaptive_simulation`` does per step: graph upkeep
-(expand the eval split's transactions, append them to the kept history
-rows, aggregate, build the CSR) plus the A-TxAllo update.
+(count the eval split's transactions' edges, merge them into the kept
+history counts, fold them into weights, build the CSR) plus the A-TxAllo
+update.
 """
 import numpy as np
 import pytest
@@ -22,30 +23,29 @@ def _split(bench_tx_pdf):
 
 @pytest.fixture(scope="module")
 def setup(bench_tx_pdf):
-    from repro.chain import tx_incidence
-    from repro.graph import adjacency_from_pandas, aggregate_tx_edges, expand_tx_edges
+    from repro.graph import adjacency_from_pandas, count_tx_edges, fold_tx_counts
     from repro.txallo import g_txallo
 
     hist, new = _split(bench_tx_pdf)
-    hist_edges = expand_tx_edges(hist)
-    adj_hist = adjacency_from_pandas(aggregate_tx_edges(*hist_edges))
+    hist_counts = count_tx_edges(hist)
+    adj_hist = adjacency_from_pandas(fold_tx_counts(*hist_counts))
     base = g_txallo(adj_hist, k=K, eta=ETA, lam=len(hist) / K)
-    hot_accounts = np.unique(tx_incidence(new)[1])
-    return hist_edges, new, adj_hist.nodes, base, hot_accounts, len(bench_tx_pdf) / K
+    return hist_counts, new, adj_hist.nodes, base, len(bench_tx_pdf) / K
 
 
 def test_t8_adaptive_step(benchmark, setup):
-    from repro.graph import adjacency_from_pandas, aggregate_tx_edges, expand_tx_edges
+    from repro.graph import adjacency_from_pandas, count_tx_edges, fold_tx_counts, merge_tx_counts
     from repro.txallo import a_txallo
     from repro.txallo.a_txallo import map_prev_labels
 
-    hist_edges, new, hist_nodes, base, hot_accounts, lam = setup
+    hist_counts, new, hist_nodes, base, lam = setup
 
     def run():
-        edges = tuple(np.concatenate(p) for p in zip(hist_edges, expand_tx_edges(new)))
-        adj = adjacency_from_pandas(aggregate_tx_edges(*edges))
+        new_counts = count_tx_edges(new)
+        adj = adjacency_from_pandas(fold_tx_counts(*merge_tx_counts(hist_counts, new_counts)))
         prev = map_prev_labels(adj, hist_nodes, base)
-        return a_txallo(adj, prev, adj.index_of(hot_accounts), k=K, eta=ETA, lam=lam)
+        hot = adj.index_of(np.unique(np.concatenate(new_counts[:2])))
+        return a_txallo(adj, prev, hot, k=K, eta=ETA, lam=lam)
 
     benchmark(run)
 

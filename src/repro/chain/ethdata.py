@@ -64,13 +64,19 @@ def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
         tx_id = tx_pdf["tx_id"].iloc[int(np.argmin(lengths))]
         raise ValueError(f"transaction {tx_id} has no accounts")
     flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
-    owner = np.repeat(np.arange(len(lists)), lengths)
+    return _account_sets(np.repeat(np.arange(len(lists)), lengths), flat, len(lists))
+
+
+def _account_sets(owner: np.ndarray, flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, accounts)`` of ``n`` transactions from unordered
+    ``(owner, account)`` incidence rows: each transaction's accounts
+    sorted ascending and deduplicated."""
     order = np.lexsort((flat, owner))
     flat, owner = flat[order], owner[order]
     keep = np.ones(len(flat), dtype=bool)
     keep[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
-    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner[keep], minlength=len(lists)), out=offsets[1:])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=n), out=offsets[1:])
     return offsets, flat[keep]
 
 
@@ -245,15 +251,15 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
             sel = np.nonzero(src_comm_per_extra == c)[0]
             extra_pool[sel] = g.choice(members_c, size=sel.size, p=wc)
 
-    accounts: list[list[int]] = []
-    ptr = 0
-    for i in range(n):
-        acc = {int(src[i]), int(dst[i])}
-        e = int(n_extra[i])
-        if e:
-            acc.update(int(a) for a in extra_pool[ptr : ptr + e])
-            ptr += e
-        accounts.append(sorted(acc))
+    # A_Tx = {src, dst} ∪ the tx's extras, as sorted deduplicated lists.
+    tx = np.arange(n)
+    offsets, flat = _account_sets(
+        np.concatenate([tx, tx, np.repeat(tx, n_extra)]),
+        np.concatenate([src, dst, extra_pool[:total_extra]]),
+        n,
+    )
+    flat, bounds = flat.tolist(), offsets.tolist()
+    accounts = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
 
     txs_per_block = max(1, n // p.n_blocks)
     block = np.minimum(np.arange(n) // txs_per_block, p.n_blocks - 1)

@@ -1,9 +1,10 @@
-"""Driver-side CSR adjacency built from the aggregated edge DataFrame.
+"""Driver-side CSR adjacency built from the weighted edge frame.
 
 The sequential kernels (Louvain, G-/A-TxAllo sweeps, METIS-like
 refinement) are deterministic serial algorithms per the paper's §IV-A, so
-they run on collected numpy arrays. Spark produces the aggregated edge
-list; this module gives it a compact, deterministic in-memory shape:
+they run on collected numpy arrays. The graph builders produce the
+weighted edge list; this module gives it a compact, deterministic
+in-memory shape:
 
 - ``nodes``: sorted unique account ids; a node's *index* into every other
   array is its position here (deterministic — the paper suggests ordering
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 @dataclass
@@ -136,13 +136,3 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
         nodes=nodes, indptr=indptr, indices=indices, weights=weights, self_w=self_w, ev=ev
     )
 
-
-def to_adjacency(edges_df: DataFrame) -> Adjacency:
-    """Collect an aggregated Spark edge DataFrame into an Adjacency.
-
-    Bounded collect: the aggregated account graph at our scale factors is
-    O(100k) rows (at the paper's full 12.6M-account scale it is ~GBs and
-    still fits the driver, matching the authors' single-node runs).
-    """
-    pdf = edges_df.select("src", "dst", "weight").toPandas()
-    return adjacency_from_pandas(pdf)

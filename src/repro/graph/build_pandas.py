@@ -1,16 +1,24 @@
-"""Pandas mirror of :mod:`repro.graph.build`.
+"""Integer edge counts of the transaction graph, and the one fold that
+turns them into Definition 2's weights.
 
-The adaptive simulation (paper Figs. 9-10) grows the transaction graph by
-one small slice of blocks per time step; launching a Spark job per step
-would dominate the measured A-TxAllo run time, so the incremental path
-uses this mirror. ``tests/test_graph_build.py`` pins it row-for-row to the
-Spark builder.
+A transaction touching ``n = |A_Tx|`` accounts adds one count to each of
+its ``C(n, 2)`` account pairs under the key ``(src, dst, n)``, with
+``src < dst``; a single-account transaction adds one to the self-loop key
+``(a, a, 1)``. A count table is four aligned int64 arrays
+``(src, dst, n, count)``, sorted by ``(src, dst, n)`` with unique keys.
 
-The build is two stages, :func:`expand_tx_edges` (one raw pair row per
-transaction pair, read from the stream's incidence array
-:func:`repro.chain.ethdata.tx_incidence`) and :func:`aggregate_tx_edges`
-(sum per pair), so that the simulation can expand each step's
-transactions once and keep the raw rows across steps.
+Integer counts add exactly, so a table merged step by step
+(:func:`merge_tx_counts`) equals the table of the whole stream, whatever
+the order of its rows. :func:`fold_tx_counts` is the only place weights
+are made: per pair, in ascending ``n``,
+``w = Σ_n float(2·c_n) / float(n·(n−1))``, or ``float(c_1)`` for the
+self-loop. The Spark builder (:func:`repro.graph.build.build_tx_graph`)
+counts the same keys and is folded by the same function, so both builders
+give the same weights bit for bit at any partition count.
+
+The adaptive simulation (paper Figs. 9-10) keeps a count table across
+steps and merges in only each step's counts; a Spark job per step would
+dominate the measured A-TxAllo run time (DESIGN.md §5).
 """
 import numpy as np
 import pandas as pd
@@ -18,50 +26,88 @@ import pandas as pd
 from repro.chain.ethdata import tx_incidence
 
 
-def expand_tx_edges(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw pair rows ``(src, dst, weight)`` with ``src <= dst``, unaggregated.
+def _layout(max_account: int, max_n: int) -> tuple[int, int]:
+    """Bit widths of the account and arity fields of a packed key."""
+    acct_bits, n_bits = int(max_account).bit_length(), int(max_n).bit_length()
+    if 2 * acct_bits + n_bits > 63:
+        raise ValueError(
+            f"edge keys need {2 * acct_bits + n_bits} bits (account ids up to "
+            f"{max_account}, arity up to {max_n}); at most 63 fit an int64"
+        )
+    return acct_bits, n_bits
 
-    A tx with ``n`` distinct accounts yields ``C(n,2)`` pairs of weight
-    ``2/(n(n-1))`` each; a single-account tx yields a weight-1 self-loop.
-    Rows come in transaction order, and within a transaction in
-    ``combinations`` order of its sorted accounts, so expanding two
-    consecutive slices and concatenating gives the same rows as expanding
-    their concatenation. Transactions of one arity ``n`` are expanded
-    together: ``np.triu_indices(n, 1)`` is the ``combinations`` order.
+
+def _pack(src, dst, n, layout: tuple[int, int]) -> np.ndarray:
+    """One int64 per key that sorts as ``(src, dst, n)`` does."""
+    acct_bits, n_bits = layout
+    return (src << (acct_bits + n_bits)) | (dst << n_bits) | n
+
+
+def _unpack(key: np.ndarray, layout: tuple[int, int]):
+    acct_bits, n_bits = layout
+    return (
+        key >> (acct_bits + n_bits),
+        (key >> n_bits) & ((1 << acct_bits) - 1),
+        key & ((1 << n_bits) - 1),
+    )
+
+
+def count_tx_edges(tx_pdf: pd.DataFrame):
+    """The count table ``(src, dst, n, count)`` of a transaction frame.
+
+    Account ids must be non-negative. Transactions of one arity ``n`` are
+    expanded together through ``np.triu_indices(n, 1)`` over their sorted
+    accounts (the ``(0, 0)`` self-pair for ``n = 1``).
     """
     offsets, accounts = tx_incidence(tx_pdf)
+    if len(accounts) == 0:
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
+    if accounts.min() < 0:
+        raise ValueError(f"account ids must be non-negative, got {accounts.min()}")
     arity = np.diff(offsets)
-    n_rows = np.where(arity == 1, 1, arity * (arity - 1) // 2)
-    first_row = np.concatenate([[0], np.cumsum(n_rows)])
-    src = np.empty(first_row[-1], dtype=np.int64)
-    dst = np.empty(first_row[-1], dtype=np.int64)
-    weight = np.empty(first_row[-1], dtype=np.float64)
+    layout = _layout(accounts.max(), arity.max())
+    keys = []
     for n in np.unique(arity).tolist():
-        iu, ju = np.triu_indices(n, 1 if n > 1 else 0)  # n == 1: the self-loop (0, 0)
-        w = 2.0 / (n * (n - 1)) if n > 1 else 1.0
-        txs = np.nonzero(arity == n)[0]
-        rows = first_row[txs, None] + np.arange(len(iu))
-        base = offsets[txs, None]
-        src[rows] = accounts[base + iu]
-        dst[rows] = accounts[base + ju]
-        weight[rows] = w
-    return src, dst, weight
+        iu, ju = np.triu_indices(n, 1 if n > 1 else 0)
+        base = offsets[:-1][arity == n, None]
+        keys.append(_pack(accounts[base + iu], accounts[base + ju], n, layout).ravel())
+    key, count = np.unique(np.concatenate(keys), return_counts=True)
+    return (*_unpack(key, layout), count)
 
 
-def aggregate_tx_edges(src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> pd.DataFrame:
-    """Sum raw pair rows into unique ``(src, dst, weight)`` edges, sorted.
+def merge_tx_counts(kept, new):
+    """The count table of two streams from their tables: counts of a key in
+    both are added, keys of ``new`` only are inserted in sorted order."""
+    if len(new[0]) == 0:
+        return kept
+    if len(kept[0]) == 0:
+        return new
+    layout = _layout(max(kept[1].max(), new[1].max()), max(kept[2].max(), new[2].max()))
+    kept_key, new_key = _pack(*kept[:3], layout), _pack(*new[:3], layout)
+    pos = np.searchsorted(kept_key, new_key)
+    hit = pos < len(kept_key)
+    hit[hit] = kept_key[pos[hit]] == new_key[hit]
+    count = kept[3].copy()
+    count[pos[hit]] += new[3][hit]
+    miss = ~hit
+    key = np.insert(kept_key, pos[miss], new_key[miss])
+    return (*_unpack(key, layout), np.insert(count, pos[miss], new[3][miss]))
 
-    The grouped sum adds each pair's weights in row order, so the result
-    depends bit for bit on the row sequence, not only on the row set.
-    """
-    edges = pd.DataFrame({"src": src, "dst": dst, "weight": weight})
-    return edges.groupby(["src", "dst"], as_index=False, sort=True)["weight"].sum()
+
+def fold_tx_counts(src, dst, n, count) -> pd.DataFrame:
+    """Weighted edges ``(src, dst, weight)`` of a count table, one row per
+    pair, sorted. Each pair's terms ``float(2·c_n)/float(n·(n−1))`` are
+    added in ascending ``n`` (``np.bincount`` adds in row order)."""
+    loop = n == 1
+    term = np.where(loop, count, 2 * count) / np.where(loop, 1, n * (n - 1))
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    weight = np.bincount(np.cumsum(first) - 1, weights=term, minlength=int(first.sum()))
+    return pd.DataFrame({"src": src[first], "dst": dst[first], "weight": weight})
 
 
 def build_tx_graph_pandas(tx_pdf: pd.DataFrame) -> pd.DataFrame:
-    """Aggregated weighted edges ``(src, dst, weight)`` with ``src <= dst``.
-
-    Same contract as :func:`repro.graph.build.build_tx_graph`; see
-    :func:`expand_tx_edges` for the per-transaction pair weights.
-    """
-    return aggregate_tx_edges(*expand_tx_edges(tx_pdf))
+    """Aggregated weighted edges ``(src, dst, weight)`` with ``src <= dst``:
+    the fold of the stream's count table, equal bit for bit to the folded
+    Spark counts of :func:`repro.graph.build.build_tx_graph`."""
+    return fold_tx_counts(*count_tx_edges(tx_pdf))

@@ -4,6 +4,7 @@ from repro.metrics.blockchain import (  # noqa: F401
     collect_stats,
     evaluate,
     rollup,
+    shard_mu_counts,
     shard_stats,
     tx_mu,
 )

@@ -3,11 +3,13 @@
 Given the transaction stream and an account→shard allocation, computes for
 every transaction the set of involved shards (``μ(Tx)``) and aggregates per
 shard: intra/cross transaction counts, workload ``σ_i = |T_i^I| + η|T_i^C|``,
-capacity-free throughput ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``. The scalar rollups
+capacity-free throughput ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``, folded on the driver
+from integer per-(shard, μ) counts. The scalar rollups
 (γ, ρ, Λ, ζ, worst-case latency) come from :mod:`repro.metrics.formulas`.
 
 All heavy steps are Catalyst DataFrame ops (explode → join → two-level
-aggregation); only the per-shard vector (length k) is collected.
+aggregation); only the per-(shard, μ) counts (at most k² rows) are
+collected.
 """
 from __future__ import annotations
 
@@ -58,19 +60,37 @@ def tx_mu(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
     )
 
 
-def shard_stats(mu_df: DataFrame) -> DataFrame:
-    """Per-shard aggregates ``(shard, n_intra, n_cross, lam_hat)`` of a
-    :func:`tx_mu` frame.
+def shard_mu_counts(mu_df: DataFrame) -> DataFrame:
+    """Transactions per shard and span: ``(shard, mu, count)`` of a
+    :func:`tx_mu` frame. A transaction with span μ counts once in each of
+    its μ shards (explode of the shard set)."""
+    per_shard = mu_df.select("mu", F.explode("shards").alias("shard"))
+    return per_shard.groupBy("shard", "mu").count()
 
-    A transaction with span μ contributes one row per involved shard
-    (explode of the shard set), counting 1 intra or 1 cross transaction
-    and ``1/μ`` of throughput (§III-B's redundant-counting rule).
+
+def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> pd.DataFrame:
+    """Per-shard ``(shard, n_intra, n_cross, lam_hat)`` from the integer
+    counts ``c_{s,μ}`` of transactions per shard and span (unique
+    ``(shard, mu)`` pairs, any order); one row per shard present.
+
+    ``n_intra = c_{s,1}``, ``n_cross = Σ_{μ>1} c_{s,μ}`` and, §III-B's
+    redundant-counting rule, ``Λ̂_s = Σ_μ c_{s,μ}/μ`` added in ascending μ:
+    the one fold of both evaluators, so their Λ̂ agree bit for bit.
     """
-    per_shard = mu_df.select("tx_id", "mu", F.explode("shards").alias("shard"))
-    return per_shard.groupBy("shard").agg(
-        F.sum(F.when(F.col("mu") == 1, 1).otherwise(0)).alias("n_intra"),
-        F.sum(F.when(F.col("mu") > 1, 1).otherwise(0)).alias("n_cross"),
-        F.sum(1.0 / F.col("mu")).alias("lam_hat"),
+    order = np.lexsort((mu, shard))
+    shard, mu, count = shard[order], mu[order], count[order]
+    first = np.ones(len(shard), dtype=bool)
+    first[1:] = shard[1:] != shard[:-1]
+    row = np.cumsum(first) - 1
+    n = int(first.sum())
+    intra = mu == 1
+    return pd.DataFrame(
+        {
+            "shard": shard[first],
+            "n_intra": np.bincount(row[intra], weights=count[intra], minlength=n).astype(np.int64),
+            "n_cross": np.bincount(row[~intra], weights=count[~intra], minlength=n).astype(np.int64),
+            "lam_hat": np.bincount(row, weights=count / mu, minlength=n),
+        }
     )
 
 
@@ -78,15 +98,18 @@ def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> tuple[int, int, pd.D
     """One Spark pass producing the η-independent evaluation state:
     ``(n_txs, n_cross_total, per-shard stats frame)``.
 
-    η only scales the cross-transaction workload in the rollup, so a
-    parameter sweep over η reuses this result (see sim.runner)."""
+    Spark counts transactions per ``(shard, mu)`` (at most k² rows); the
+    driver folds them with :func:`shard_stats`. η only scales the
+    cross-transaction workload in the rollup, so a parameter sweep over η
+    reuses this result (see sim.runner)."""
     n_txs = tx_df.count()
     mu_df = tx_mu(tx_df, alloc_df).cache()
     try:
         n_cross = mu_df.filter(F.col("mu") > 1).count()
-        stats = shard_stats(mu_df).toPandas()
+        counts = shard_mu_counts(mu_df).toPandas()
     finally:
         mu_df.unpersist()
+    stats = shard_stats(*(counts[c].to_numpy(np.int64) for c in ("shard", "mu", "count")))
     return n_txs, n_cross, stats
 
 

@@ -14,7 +14,7 @@ import pandas as pd
 
 from repro.chain.ethdata import tx_incidence
 from repro.graph.adjacency import index_of
-from repro.metrics.blockchain import AllocationMetrics, rollup
+from repro.metrics.blockchain import AllocationMetrics, rollup, shard_stats
 
 
 def evaluate_pandas(
@@ -34,8 +34,9 @@ def evaluate_pandas(
 
     Every incidence entry is mapped to its shard; sorting the
     ``(tx, shard)`` pairs and dropping repeats leaves each transaction's
-    shard set, so μ is a count per transaction. Per shard, ``bincount``
-    adds the ``1/μ`` shares in transaction order.
+    shard set, so μ is a count per transaction. The per-shard statistics
+    are :func:`repro.metrics.blockchain.shard_stats` of the integer
+    ``(shard, μ)`` counts, the fold the Spark evaluator uses.
     """
     offsets, incidence = tx_incidence(tx_pdf)
     n_txs = len(offsets) - 1
@@ -48,13 +49,7 @@ def evaluate_pandas(
     tx, shard = tx[first], shard[first]
 
     mu = np.bincount(tx, minlength=n_txs)
-    cross = mu[tx] > 1
-    stats = pd.DataFrame(
-        {
-            "shard": np.arange(k),
-            "n_intra": np.bincount(shard[~cross], minlength=k),
-            "n_cross": np.bincount(shard[cross], minlength=k),
-            "lam_hat": np.bincount(shard, weights=1.0 / mu[tx], minlength=k),
-        }
-    )
+    base = int(mu.max(initial=0)) + 1
+    key, count = np.unique(shard * base + mu[tx], return_counts=True)
+    stats = shard_stats(key // base, key % base, count)
     return rollup(n_txs, int((mu > 1).sum()), stats, k=k, eta=eta, lam=lam)

@@ -16,14 +16,15 @@ time is recorded in ``seconds``, as in the paper, which reports algorithm
 execution time; graph upkeep is reported in its own column,
 ``upkeep_seconds``, and is not counted in ``seconds``.
 
-Graph upkeep expands each transaction into its raw pair rows once: the
-history is expanded before the first step, and each step appends only its
-own rows before the kept rows are aggregated into the step's graph. The
-expansion, the hot accounts V̂ and the evaluation all read the step's
-incidence array (:func:`repro.chain.ethdata.tx_incidence`). The
-kept rows are exactly the rows a from-scratch expansion of the accumulated
-history gives, in the same order, so the aggregated weights (and every
-label computed from them) equal a full rebuild's bit for bit.
+Graph upkeep keeps the integer edge-count table of the accumulated
+stream (:mod:`repro.graph.build_pandas`): the history is counted before
+the first step, and each step counts only its own transactions, merges
+those counts in and folds the table into the step's weighted edges. The
+hot accounts V̂ are the accounts of the step's count table. Integer counts
+add exactly and the fold depends on the counts alone, so the kept graph
+(and every label computed from it) equals a from-scratch
+:func:`repro.graph.build_pandas.build_tx_graph_pandas` of the accumulated
+stream bit for bit.
 
 The per-step dataflow is pandas (equivalence-tested mirrors of the Spark
 builders) because a Spark job per step would dominate the measured
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.chain.ethdata import tx_incidence
-from repro.graph.adjacency import Adjacency, adjacency_from_pandas
-from repro.graph.build_pandas import aggregate_tx_edges, expand_tx_edges
+from repro.graph.adjacency import adjacency_from_pandas
+from repro.graph.build_pandas import count_tx_edges, fold_tx_counts, merge_tx_counts
 from repro.metrics.pandas_eval import evaluate_pandas
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
@@ -56,11 +56,6 @@ class _VariantState:
     pure_g: bool
     accounts: np.ndarray
     labels: np.ndarray
-
-
-def _hot_nodes(adj: Adjacency, step_pdf: pd.DataFrame) -> np.ndarray:
-    """Node indices of the accounts the step's transactions touch (V̂)."""
-    return adj.index_of(np.unique(tx_incidence(step_pdf)[1]))
 
 
 def adaptive_simulation(
@@ -96,8 +91,8 @@ def adaptive_simulation(
     hist = tx_pdf[tx_pdf["block"] <= split_block].reset_index(drop=True)
     rest = tx_pdf[tx_pdf["block"] > split_block].reset_index(drop=True)
 
-    edges = expand_tx_edges(hist)
-    adj0 = adjacency_from_pandas(aggregate_tx_edges(*edges))
+    counts = count_tx_edges(hist)
+    adj0 = adjacency_from_pandas(fold_tx_counts(*counts))
     lam0 = len(hist) / k
     base_labels = g_txallo(adj0, k=k, eta=eta, lam=lam0)
 
@@ -121,13 +116,14 @@ def adaptive_simulation(
         if step_pdf.empty:
             continue
         t0 = time.perf_counter()
-        edges = tuple(np.concatenate(p) for p in zip(edges, expand_tx_edges(step_pdf)))
-        adj = adjacency_from_pandas(aggregate_tx_edges(*edges))
+        step_counts = count_tx_edges(step_pdf)
+        counts = merge_tx_counts(counts, step_counts)
+        adj = adjacency_from_pandas(fold_tx_counts(*counts))
         upkeep = time.perf_counter() - t0
         n_txs += len(step_pdf)
         lam_full = n_txs / k
         eps = EPS_SCALE * n_txs
-        hot = _hot_nodes(adj, step_pdf)
+        hot = adj.index_of(np.unique(np.concatenate(step_counts[:2])))
         lam_step = len(step_pdf) / k
 
         for v in variants:

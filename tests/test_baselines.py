@@ -84,7 +84,7 @@ class TestMetisLike:
     @pytest.mark.parametrize(
         "k, digest",
         [
-            (4, "67cc5bdb2a15337abc658d4fe164d2c3867c2b83686e6e3ce436c0f011190a95"),
+            (4, "ae35134ab949ee816b4bb8625afbdd6e9fc039bb929c8f57055a78b86c76d3b7"),
             (20, "763c30e6e380feda2d63d845eae5de0a7c8d9dfc47fe3c635949f03fdc5f3254"),
         ],
     )

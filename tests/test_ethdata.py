@@ -1,4 +1,6 @@
 """Tests for the synthetic Ethereum-like transaction generator."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -46,6 +48,17 @@ class TestDeterminism:
         a = eth_transactions_pandas(EthParams(sf=0.002, seed=seed))
         b = eth_transactions_pandas(EthParams(sf=0.002, seed=seed))
         pd.testing.assert_frame_equal(a, b)
+
+    def test_stream_pinned(self):
+        """The generator's draws and account sets must not move: SHA-256 of
+        ``(tx_id, block, offsets, accounts)`` at SF 0.02, seed 7."""
+        pdf = eth_transactions_pandas(EthParams(sf=0.02, seed=7))
+        h = hashlib.sha256()
+        for a in (pdf["tx_id"].to_numpy(), pdf["block"].to_numpy(), *tx_incidence(pdf)):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        assert h.hexdigest() == (
+            "40d0a0d666c29da57324182dcca8b4af3cfae0dd4555a1a332f24bad83490a03"
+        )
 
     def test_different_seed_different_stream(self):
         a = eth_transactions_pandas(EthParams(sf=0.002, seed=1))

@@ -5,7 +5,14 @@ import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.chain.ethdata import TX_SCHEMA
-from repro.graph import build_tx_graph, build_tx_graph_pandas, expand_tx_edges
+from repro.graph import (
+    adjacency_from_pandas,
+    build_tx_graph,
+    build_tx_graph_pandas,
+    collect_tx_graph,
+    count_tx_edges,
+    merge_tx_counts,
+)
 from repro.oracle import assert_equivalent
 from tests.conftest import tiny_tx_pdf
 
@@ -17,7 +24,7 @@ def tiny_df(spark):
 
 @pytest.fixture(scope="module")
 def tiny_edges(spark, tiny_df):
-    return build_tx_graph(tiny_df).toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
+    return collect_tx_graph(build_tx_graph(tiny_df))
 
 
 class TestTinyGraphSpark:
@@ -68,28 +75,16 @@ class TestTinyGraphSpark:
 class TestPandasMirror:
     def test_tiny_matches_spark(self, tiny_edges):
         got = build_tx_graph_pandas(tiny_tx_pdf())
-        pd.testing.assert_frame_equal(
-            tiny_edges.astype({"src": "int64", "dst": "int64"}),
-            got,
-            check_dtype=False,
-            atol=1e-12,
-        )
+        pd.testing.assert_frame_equal(tiny_edges, got, check_exact=True)
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_generated_matches_spark(self, spark, seed):
         p = EthParams(sf=0.002, seed=seed)
         pdf = eth_transactions_pandas(p)
         sdf = spark.createDataFrame(pdf.to_dict("records"), schema=TX_SCHEMA)
-        spark_edges = (
-            build_tx_graph(sdf).toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        )
+        spark_edges = collect_tx_graph(build_tx_graph(sdf))
         pandas_edges = build_tx_graph_pandas(pdf)
-        pd.testing.assert_frame_equal(
-            spark_edges.astype({"src": "int64", "dst": "int64"}),
-            pandas_edges,
-            check_dtype=False,
-            atol=1e-9,
-        )
+        pd.testing.assert_frame_equal(spark_edges, pandas_edges, check_exact=True)
 
     def test_total_weight_generated(self, tx_pdf):
         edges = build_tx_graph_pandas(tx_pdf)
@@ -105,18 +100,83 @@ class TestPandasMirror:
         with pytest.raises(ValueError, match="transaction 5 has no accounts"):
             build_tx_graph_pandas(pdf)
 
-    def test_expand_rows_in_transaction_then_pair_order(self):
-        """The adaptive simulation relies on this order to append step rows."""
-        src, dst, w = expand_tx_edges(tiny_tx_pdf())
-        assert src.tolist() == [1, 1, 3, 1, 4, 4, 5, 2, 1, 1, 1, 2, 2, 3, 5]
-        assert dst.tolist() == [2, 2, 3, 3, 5, 6, 6, 4, 2, 3, 4, 3, 4, 4, 6]
-        assert w.tolist() == [1.0] * 4 + [1 / 3] * 3 + [1.0] + [1 / 6] * 6 + [1.0]
+    def test_counts_per_pair_and_arity(self):
+        """One row per ``(src, dst, n)`` key, sorted, counting transactions."""
+        src, dst, n, count = count_tx_edges(tiny_tx_pdf())
+        assert src.tolist() == [1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert dst.tolist() == [2, 2, 3, 3, 4, 3, 4, 4, 3, 4, 5, 6, 6, 6]
+        assert n.tolist() == [2, 4, 2, 4, 4, 4, 2, 4, 1, 4, 3, 3, 2, 3]
+        assert count.tolist() == [2] + [1] * 13
+
+    def test_fold_adds_terms_in_ascending_arity(self):
+        edges = build_tx_graph_pandas(tiny_tx_pdf()).set_index(["src", "dst"])["weight"]
+        assert edges[(1, 2)] == 4.0 / 2.0 + 2.0 / 12.0
+        assert edges[(5, 6)] == 2.0 / 2.0 + 2.0 / 6.0
+        assert edges[(3, 3)] == 1.0
+
+    def test_negative_account_rejected(self):
+        pdf = tiny_tx_pdf()
+        pdf.at[0, "accounts"] = [-1, 2]
+        with pytest.raises(ValueError, match="non-negative"):
+            count_tx_edges(pdf)
+
+    def test_key_wider_than_int64_rejected(self):
+        pdf = tiny_tx_pdf()
+        pdf.at[0, "accounts"] = [1, 2**40]
+        with pytest.raises(ValueError, match="at most 63 fit"):
+            count_tx_edges(pdf)
+
+
+class TestCountMerge:
+    """Counts merged slice by slice equal the counts of the whole stream."""
+
+    def test_merge_by_block_equals_whole(self, tx_pdf):
+        kept = count_tx_edges(tx_pdf.iloc[:0])
+        for _, block in tx_pdf.groupby("block"):
+            kept = merge_tx_counts(kept, count_tx_edges(block))
+        for got, want in zip(kept, count_tx_edges(tx_pdf)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_merge_order_free(self, tx_pdf):
+        half = len(tx_pdf) // 2
+        a, b = count_tx_edges(tx_pdf.iloc[:half]), count_tx_edges(tx_pdf.iloc[half:])
+        for x, y in zip(merge_tx_counts(a, b), merge_tx_counts(b, a)):
+            np.testing.assert_array_equal(x, y)
+
+    def test_empty_step_leaves_counts_unchanged(self, tx_pdf):
+        kept = count_tx_edges(tx_pdf)
+        merged = merge_tx_counts(kept, count_tx_edges(tx_pdf.iloc[:0]))
+        for x, y in zip(merged, kept):
+            np.testing.assert_array_equal(x, y)
+
+
+class TestEdgeCases:
+    def test_sixty_account_transaction(self, spark):
+        """C(60, 2) = 1770 pairs of weight 1/1770; the transaction weighs 1."""
+        pdf = pd.DataFrame({"tx_id": [0], "block": [0], "accounts": [list(range(100, 160))]})
+        edges = build_tx_graph_pandas(pdf)
+        assert len(edges) == 1770
+        assert (edges["weight"] == 1.0 / 1770).all()
+        assert edges["weight"].sum() == pytest.approx(1.0, abs=1e-12)
+        sdf = spark.createDataFrame(pdf.to_dict("records"), schema=TX_SCHEMA)
+        pd.testing.assert_frame_equal(collect_tx_graph(build_tx_graph(sdf)), edges, check_exact=True)
+
+    def test_account_seen_only_in_self_loops(self):
+        pdf = pd.concat(
+            [tiny_tx_pdf(), pd.DataFrame({"tx_id": [8, 9], "block": [2, 2], "accounts": [[9], [9]]})],
+            ignore_index=True,
+        )
+        adj = adjacency_from_pandas(build_tx_graph_pandas(pdf))
+        v = int(adj.index_of(np.array([9]))[0])
+        assert adj.self_w[v] == 2.0
+        assert len(adj.neighbors(v)[0]) == 0
+        assert adj.total_weight == pytest.approx(len(pdf))
 
 
 class TestOracle:
     def test_pair_aggregation_vs_duckdb(self, spark, tiny_df):
-        """The Spark pair-join + aggregation equals the same SQL in DuckDB."""
-        edges = build_tx_graph(tiny_df).select("src", "dst", "weight")
+        """The Spark pair-join + count equals the same SQL in DuckDB."""
+        counts = build_tx_graph(tiny_df).select("src", "dst", "n", "count")
         exploded = tiny_tx_pdf().explode("accounts").rename(columns={"accounts": "account"})
         exploded["account"] = exploded["account"].astype("int64")
         sql = """
@@ -126,18 +186,18 @@ class TestOracle:
                 FROM acc
             ),
             pairs AS (
-                SELECT a.account AS src, b.account AS dst, 2.0/(a.n*(a.n-1)) AS w
+                SELECT a.account AS src, b.account AS dst, a.n AS n
                 FROM sized a JOIN sized b
                   ON a.tx_id = b.tx_id AND a.account < b.account
                 UNION ALL
-                SELECT account, account, 1.0 FROM sized WHERE n = 1
+                SELECT account, account, n FROM sized WHERE n = 1
             )
-            SELECT src, dst, SUM(w) AS weight FROM pairs GROUP BY src, dst
+            SELECT src, dst, n, COUNT(*) AS "count" FROM pairs GROUP BY src, dst, n
         """
-        assert_equivalent(edges, sql, acc=exploded[["tx_id", "account"]])
+        assert_equivalent(counts, sql, acc=exploded[["tx_id", "account"]])
 
     def test_generated_aggregation_vs_duckdb(self, spark, tx_df, tx_pdf):
-        edges = build_tx_graph(tx_df).select("src", "dst", "weight")
+        counts = build_tx_graph(tx_df).select("src", "dst", "n", "count")
         exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
         exploded["account"] = exploded["account"].astype("int64")
         sql = """
@@ -147,12 +207,12 @@ class TestOracle:
                 FROM acc
             ),
             pairs AS (
-                SELECT a.account AS src, b.account AS dst, 2.0/(a.n*(a.n-1)) AS w
+                SELECT a.account AS src, b.account AS dst, a.n AS n
                 FROM sized a JOIN sized b
                   ON a.tx_id = b.tx_id AND a.account < b.account
                 UNION ALL
-                SELECT account, account, 1.0 FROM sized WHERE n = 1
+                SELECT account, account, n FROM sized WHERE n = 1
             )
-            SELECT src, dst, SUM(w) AS weight FROM pairs GROUP BY src, dst
+            SELECT src, dst, n, COUNT(*) AS "count" FROM pairs GROUP BY src, dst, n
         """
-        assert_equivalent(edges, sql, acc=exploded[["tx_id", "account"]])
+        assert_equivalent(counts, sql, acc=exploded[["tx_id", "account"]])

@@ -10,7 +10,14 @@ from pyspark.sql import functions as F
 
 from repro.baselines import hash_alloc
 from repro.chain.ethdata import TX_SCHEMA
-from repro.metrics.blockchain import collect_stats, evaluate, rollup, shard_stats, tx_mu
+from repro.metrics.blockchain import (
+    collect_stats,
+    evaluate,
+    rollup,
+    shard_mu_counts,
+    shard_stats,
+    tx_mu,
+)
 from repro.metrics.pandas_eval import evaluate_pandas
 from repro.oracle import assert_equivalent
 from tests.conftest import tiny_tx_pdf
@@ -77,7 +84,8 @@ class TestTinyHandComputed:
         np.testing.assert_allclose(m.norm_sigmas, [2.0, 1.5])
 
     def test_shard_stats_frame(self, tiny_df, tiny_alloc_df):
-        stats = shard_stats(tx_mu(tiny_df, tiny_alloc_df)).toPandas().sort_values("shard")
+        counts = shard_mu_counts(tx_mu(tiny_df, tiny_alloc_df)).toPandas()
+        stats = shard_stats(*(counts[c].to_numpy() for c in ("shard", "mu", "count")))
         assert stats["n_intra"].tolist() == [4, 2]
         assert stats["n_cross"].tolist() == [2, 2]
         np.testing.assert_allclose(stats["lam_hat"], [5.0, 3.0])
@@ -100,9 +108,11 @@ class TestPandasMirror:
         )
         m_s = evaluate(tx_df, alloc_df, k=k, eta=eta)
         m_p = evaluate_pandas(tx_pdf, labels, k=k, eta=eta, accounts=adj.nodes)
-        assert m_p.gamma == pytest.approx(m_s.gamma)
-        np.testing.assert_allclose(m_p.sigmas, m_s.sigmas, atol=1e-9)
-        assert m_p.throughput == pytest.approx(m_s.throughput)
+        # Both fold the same integer (shard, μ) counts: equal bit for bit.
+        assert m_p.gamma == m_s.gamma
+        np.testing.assert_array_equal(m_p.sigmas, m_s.sigmas)
+        assert m_p.throughput == m_s.throughput
+        assert m_p.avg_latency == m_s.avg_latency
         assert m_p.worst_latency == m_s.worst_latency
 
     def test_array_form_requires_accounts(self, tx_pdf):
@@ -154,7 +164,7 @@ class TestOracle:
         labels = hash_alloc(adj.nodes, 6)
         alloc = pd.DataFrame({"account": adj.nodes, "shard": labels})
         alloc_df = spark.createDataFrame(alloc)
-        got = shard_stats(tx_mu(tx_df, alloc_df)).select("shard", "n_intra", "n_cross", "lam_hat")
+        got = shard_mu_counts(tx_mu(tx_df, alloc_df)).select("shard", "mu", "count")
         exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
         exploded["account"] = exploded["account"].astype("int64")
         sql = """
@@ -166,12 +176,9 @@ class TestOracle:
             mus AS (
                 SELECT tx_id, COUNT(*) AS mu FROM spans GROUP BY tx_id
             )
-            SELECT s.shard,
-                   SUM(CASE WHEN m.mu = 1 THEN 1 ELSE 0 END) AS n_intra,
-                   SUM(CASE WHEN m.mu > 1 THEN 1 ELSE 0 END) AS n_cross,
-                   SUM(1.0 / m.mu) AS lam_hat
+            SELECT s.shard, m.mu, COUNT(*) AS "count"
             FROM spans s JOIN mus m USING (tx_id)
-            GROUP BY s.shard
+            GROUP BY s.shard, m.mu
         """
         assert_equivalent(got, sql, acc=exploded[["tx_id", "account"]], alloc=alloc)
 

@@ -12,8 +12,8 @@ import pytest
 from repro.chain import EthParams, eth_transactions_pandas
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# The simulation expands and aggregates pair rows itself since it keeps
-# them across steps, so it no longer calls this name.
+# The simulation keeps an edge-count table across steps and folds it
+# itself, so it does not call this name.
 KNOWN_ABSENT = {"repro.sim.adaptive.build_tx_graph_pandas"}
 
 
