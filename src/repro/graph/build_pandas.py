@@ -60,13 +60,11 @@ def count_tx_edges(tx_pdf: pd.DataFrame):
     accounts (the ``(0, 0)`` self-pair for ``n = 1``).
     """
     offsets, accounts = tx_incidence(tx_pdf)
-    if len(accounts) == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(4))
-    if accounts.min() < 0:
+    if accounts.min(initial=0) < 0:
         raise ValueError(f"account ids must be non-negative, got {accounts.min()}")
     arity = np.diff(offsets)
-    layout = _layout(accounts.max(), arity.max())
-    keys = []
+    layout = _layout(accounts.max(initial=0), arity.max(initial=0))
+    keys = [np.empty(0, dtype=np.int64)]
     for n in np.unique(arity).tolist():
         iu, ju = np.triu_indices(n, 1 if n > 1 else 0)
         base = offsets[:-1][arity == n, None]
@@ -78,11 +76,10 @@ def count_tx_edges(tx_pdf: pd.DataFrame):
 def merge_tx_counts(kept, new):
     """The count table of two streams from their tables: counts of a key in
     both are added, keys of ``new`` only are inserted in sorted order."""
-    if len(new[0]) == 0:
-        return kept
-    if len(kept[0]) == 0:
-        return new
-    layout = _layout(max(kept[1].max(), new[1].max()), max(kept[2].max(), new[2].max()))
+    layout = _layout(
+        max(kept[1].max(initial=0), new[1].max(initial=0)),
+        max(kept[2].max(initial=0), new[2].max(initial=0)),
+    )
     kept_key, new_key = _pack(*kept[:3], layout), _pack(*new[:3], layout)
     pos = np.searchsorted(kept_key, new_key)
     hit = pos < len(kept_key)

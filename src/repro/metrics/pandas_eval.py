@@ -50,6 +50,7 @@ def evaluate_pandas(
 
     mu = np.bincount(tx, minlength=n_txs)
     base = int(mu.max(initial=0)) + 1
-    key, count = np.unique(shard * base + mu[tx], return_counts=True)
-    stats = shard_stats(key // base, key % base, count)
+    count = np.bincount(shard * base + mu[tx])
+    key = np.flatnonzero(count)
+    stats = shard_stats(key // base, key % base, count[key])
     return rollup(n_txs, int((mu > 1).sum()), stats, k=k, eta=eta, lam=lam)

@@ -10,6 +10,7 @@ import repro.sim.adaptive as adaptive
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.sim.adaptive import adaptive_simulation
+from tests.conftest import tiny_tx_pdf
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +168,6 @@ class TestEdgeCases:
 
     def test_k_above_account_count(self):
         """Six accounts, ten shards: every label stays in [0, k)."""
-        from tests.conftest import tiny_tx_pdf
-
         k = 10
         out = adaptive_simulation(tiny_tx_pdf(), k=k, eta=2.0, step_blocks=1, split=0.5)
         assert out["gamma"].between(0, 1).all()
