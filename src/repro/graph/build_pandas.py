@@ -100,6 +100,7 @@ def fold_tx_counts(src, dst, n, count) -> pd.DataFrame:
     first = np.ones(len(src), dtype=bool)
     first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
     weight = np.bincount(np.cumsum(first) - 1, weights=term, minlength=int(first.sum()))
+    weight = weight.astype(float, copy=False)  # bincount of an empty input is int64
     return pd.DataFrame({"src": src[first], "dst": dst[first], "weight": weight})
 
 

@@ -84,11 +84,13 @@ def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> pd.Data
     row = np.cumsum(first) - 1
     n = int(first.sum())
     intra = mu == 1
+    n_intra = np.bincount(row[intra], weights=count[intra], minlength=n)
+    n_cross = np.bincount(row[~intra], weights=count[~intra], minlength=n)
     return pd.DataFrame(
         {
             "shard": shard[first],
-            "n_intra": np.bincount(row[intra], weights=count[intra], minlength=n).astype(np.int64),
-            "n_cross": np.bincount(row[~intra], weights=count[~intra], minlength=n).astype(np.int64),
+            "n_intra": n_intra.astype(np.int64),
+            "n_cross": n_cross.astype(np.int64),
             "lam_hat": np.bincount(row, weights=count / mu, minlength=n),
         }
     )

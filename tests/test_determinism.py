@@ -59,7 +59,8 @@ def test_a_txallo_labels_identical(graphs, tx_pdf):
     hist = tx_pdf[tx_pdf["block"] < last]
     adj_hist = adjacency_from_pandas(build_tx_graph_pandas(hist))
     base = g_txallo(adj_hist, k=K, eta=ETA, lam=len(hist) / K)
-    hot_accounts = np.unique(np.concatenate(tx_pdf.loc[tx_pdf["block"] == last, "accounts"].tolist()))
+    step = tx_pdf.loc[tx_pdf["block"] == last, "accounts"]
+    hot_accounts = np.unique(np.concatenate(step.tolist()))
     lam = len(tx_pdf) / K
 
     labels = {}

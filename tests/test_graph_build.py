@@ -93,6 +93,7 @@ class TestPandasMirror:
     def test_empty_stream(self):
         edges = build_tx_graph_pandas(pd.DataFrame({"tx_id": [], "block": [], "accounts": []}))
         assert len(edges) == 0
+        assert edges["weight"].dtype == np.float64
 
     def test_tx_without_accounts_rejected(self):
         pdf = tiny_tx_pdf()
@@ -159,13 +160,12 @@ class TestEdgeCases:
         assert (edges["weight"] == 1.0 / 1770).all()
         assert edges["weight"].sum() == pytest.approx(1.0, abs=1e-12)
         sdf = spark.createDataFrame(pdf.to_dict("records"), schema=TX_SCHEMA)
-        pd.testing.assert_frame_equal(collect_tx_graph(build_tx_graph(sdf)), edges, check_exact=True)
+        spark_edges = collect_tx_graph(build_tx_graph(sdf))
+        pd.testing.assert_frame_equal(spark_edges, edges, check_exact=True)
 
     def test_account_seen_only_in_self_loops(self):
-        pdf = pd.concat(
-            [tiny_tx_pdf(), pd.DataFrame({"tx_id": [8, 9], "block": [2, 2], "accounts": [[9], [9]]})],
-            ignore_index=True,
-        )
+        loops = pd.DataFrame({"tx_id": [8, 9], "block": [2, 2], "accounts": [[9], [9]]})
+        pdf = pd.concat([tiny_tx_pdf(), loops], ignore_index=True)
         adj = adjacency_from_pandas(build_tx_graph_pandas(pdf))
         v = int(adj.index_of(np.array([9]))[0])
         assert adj.self_w[v] == 2.0
