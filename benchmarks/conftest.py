@@ -34,9 +34,9 @@ def bench_lam(bench_tx_pdf):
 
 @pytest.fixture(scope="session")
 def bench_tx_df(spark, bench_tx_pdf):
-    from repro.chain.ethdata import TX_SCHEMA
+    from repro.chain import spark_transactions
 
-    df = spark.createDataFrame(bench_tx_pdf.to_dict("records"), schema=TX_SCHEMA).cache()
+    df = spark_transactions(spark, bench_tx_pdf).cache()
     df.count()
     return df
 

@@ -47,16 +47,39 @@ def base_parser(desc: str) -> argparse.ArgumentParser:
     return ap
 
 
+def case_parser(desc: str) -> argparse.ArgumentParser:
+    """:func:`base_parser` plus the (k, η) of the T3/T7/T8 case studies."""
+    ap = base_parser(desc)
+    ap.add_argument("--k", type=int, default=20, help="k for the T3/T7/T8 case studies")
+    ap.add_argument("--eta", type=float, default=2.0, help="η for the T3/T7/T8 case studies")
+    return ap
+
+
 def load_workload(spark, sf: float, seed: int):
-    """(tx_df, tx_pdf, adj) for the Ethereum-like stream at ``sf``."""
-    from repro.chain import EthParams, eth_transactions, eth_transactions_pandas
+    """(tx_df, tx_pdf, adj) for the Ethereum-like stream at ``sf``; the
+    stream is generated once and handed to Spark through Arrow."""
+    from repro.chain import EthParams, eth_transactions_pandas, spark_transactions
     from repro.graph import build_tx_graph, to_adjacency
 
-    params = EthParams(sf=sf, seed=seed)
-    tx_pdf = eth_transactions_pandas(params)
-    tx_df = eth_transactions(spark, params=params).cache()
+    tx_pdf = eth_transactions_pandas(EthParams(sf=sf, seed=seed))
+    tx_df = spark_transactions(spark, tx_pdf).cache()
     adj = to_adjacency(build_tx_graph(tx_df))
     return tx_df, tx_pdf, adj
+
+
+def run_adaptive(args, tau2_steps) -> pd.DataFrame:
+    """The T7/T8 adaptive simulation (all variants incl. pure G) at the
+    case-study (k, η); per-step pandas, no Spark."""
+    from repro.chain import EthParams, eth_transactions_pandas
+    from repro.sim.adaptive import adaptive_simulation
+
+    return adaptive_simulation(
+        eth_transactions_pandas(EthParams(sf=args.sf, seed=args.seed)),
+        k=args.k,
+        eta=args.eta,
+        step_blocks=args.step_blocks,
+        tau2_steps=tuple(tau2_steps),
+    )
 
 
 def print_markdown(df: pd.DataFrame, title: str, floatfmt: str = "{:.3f}") -> None:

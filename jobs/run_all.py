@@ -3,81 +3,31 @@
 This is the entrypoint used to fill EXPERIMENTS.md:
 
     python jobs/run_all.py --sf 0.1
+
+T3 is read from the sweep's rows at (--k, --eta), which must lie on the
+(--ks × --etas) grid; T7 and T8 come from one adaptive run.
 """
-from _common import base_parser, make_session, print_markdown
-from static_tables import print_t1, print_t2, print_t4, print_t5, print_t6, run_sweep
+from _common import case_parser, run_adaptive
+from static_tables import print_t1, print_t2, print_t3, print_t4, print_t5, print_t6, run_sweep
+from t7_adaptive_throughput import print_t7
+from t8_adaptive_runtime import print_t8
 
 
 def main() -> None:
-    ap = base_parser(__doc__)
-    ap.add_argument("--k", type=int, default=20, help="k for T3/T7/T8 case studies")
-    ap.add_argument("--eta", type=float, default=2.0, help="η for T3/T7/T8 case studies")
+    ap = case_parser(__doc__)
     ap.add_argument("--step-blocks", type=int, default=2)
     args = ap.parse_args()
+    if args.k not in args.ks or args.eta not in args.etas:
+        ap.error("--k and --eta must be among --ks and --etas (T3 reads the sweep)")
 
     df = run_sweep(args)
-    print_t1(df)
-    print_t2(df)
-    print_t4(df)
-    print_t5(df)
-    print_t6(df)
+    for fn in (print_t1, print_t2, print_t4, print_t5, print_t6):
+        fn(df)
+    print_t3(df, args.k, args.eta)
 
-    # T3 case study.
-    import numpy as np
-    import pandas as pd
-
-    spark = make_session("txallo-run-all")
-    from _common import load_workload
-    from repro.metrics.blockchain import rollup
-    from repro.sim.runner import METHODS, allocate, method_stats
-
-    tx_df, tx_pdf, adj = load_workload(spark, args.sf, args.seed)
-    n_txs = tx_df.count()
-    lam = n_txs / args.k
-    rows = []
-    for method in METHODS:
-        res = allocate(method, adj, k=args.k, eta=args.eta, lam=lam, tx_pdf=tx_pdf)
-        stats = method_stats(spark, method, tx_df, adj, res)
-        m = rollup(*stats, k=args.k, eta=args.eta, lam=lam)
-        s = np.sort(m.norm_sigmas)[::-1]
-        rows.append(
-            {
-                "method": method,
-                "max": float(s[0]),
-                "p90": float(np.quantile(s, 0.9)),
-                "median": float(np.median(s)),
-                "min": float(s[-1]),
-                "overloaded": int((s > 1.0).sum()),
-            }
-        )
-    print_markdown(
-        pd.DataFrame(rows),
-        f"T3 (Fig. 4) per-shard normalized workload σ/λ, η={args.eta:g}, k={args.k}",
-    )
-
-    # T7 + T8 from one adaptive run.
-    from repro.chain import EthParams, eth_transactions_pandas
-    from repro.sim.adaptive import adaptive_simulation
-
-    tx_pdf_full = eth_transactions_pandas(EthParams(sf=args.sf, seed=args.seed))
-    adf = adaptive_simulation(
-        tx_pdf_full,
-        k=args.k,
-        eta=args.eta,
-        step_blocks=args.step_blocks,
-        tau2_steps=(2, 4, 10),
-        include_pure_g=True,
-    )
-    avg = adf.groupby("variant").agg(
-        avg_norm_throughput=("norm_throughput", "mean"),
-        avg_gamma=("gamma", "mean"),
-    ).reset_index()
-    print_markdown(avg, f"T7 (Fig. 9) average per-step throughput, k={args.k}, η={args.eta:g}")
-    rt = (
-        adf.groupby(["variant", "algo"])["seconds"].agg(["count", "mean", "max"]).reset_index()
-    )
-    print_markdown(rt, "T8 (Fig. 10) per-step algorithm seconds by variant")
-    spark.stop()
+    adf = run_adaptive(args, (2, 4, 10))
+    print_t7(adf, args.k, args.eta)
+    print_t8(adf, args.k)
 
 
 if __name__ == "__main__":

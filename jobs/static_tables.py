@@ -5,6 +5,7 @@ tables from it; the thin per-table jobs (t1..t6) call into this module.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from _common import base_parser, load_workload, make_session, print_markdown
@@ -15,10 +16,7 @@ def run_sweep(args) -> pd.DataFrame:
     from repro.sim.runner import sweep
 
     tx_df, tx_pdf, adj = load_workload(spark, args.sf, args.seed)
-    df = sweep(
-        spark, tx_df, adj, ks=args.ks, etas=args.etas, tx_pdf=tx_pdf
-    )
-    return df
+    return sweep(spark, tx_df, adj, ks=args.ks, etas=args.etas, tx_pdf=tx_pdf)
 
 
 def _pivot(df: pd.DataFrame, value: str, eta: float) -> pd.DataFrame:
@@ -62,6 +60,31 @@ def print_t5(df: pd.DataFrame) -> None:
             _pivot(df, "worst_latency", eta),
             f"T5b (Fig. 7) worst-case latency (time units), η={eta:g}",
         )
+
+
+def print_t3(df: pd.DataFrame, k: int, eta: float) -> None:
+    """T3 (Fig. 4) from the sweep's rows at (k, η): each method's
+    per-shard σ/λ, summarised, then listed in descending order."""
+    sub = df[(df["k"] == k) & (df["eta"] == eta)]
+    dists = {row.method: np.sort(row.norm_sigmas)[::-1] for row in sub.itertuples()}
+    rows = [
+        {
+            "method": method,
+            "max σ/λ": float(s[0]),
+            "p90 σ/λ": float(np.quantile(s, 0.9)),
+            "median σ/λ": float(np.median(s)),
+            "min σ/λ": float(s[-1]),
+            "overloaded shards": int((s > 1.0).sum()),
+            "total σ/kλ": float(s.sum() / k),
+        }
+        for method, s in dists.items()
+    ]
+    print_markdown(
+        pd.DataFrame(rows), f"T3 (Fig. 4) per-shard normalized workload, η={eta:g}, k={k}"
+    )
+    print("\nPer-shard σ/λ (sorted desc):")
+    for method, s in dists.items():
+        print(f"  {method:10s} " + " ".join(f"{v:.2f}" for v in s))
 
 
 def print_t6(df: pd.DataFrame) -> None:

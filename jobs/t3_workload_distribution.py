@@ -4,54 +4,10 @@
 the hub shard stands out for random/METIS/TxAllo (the most active
 account holds ~11% of txs), while Shard Scheduler stays flat at ~1.
 """
-import numpy as np
-
-from _common import base_parser, load_workload, make_session, print_markdown
-
-
-def main() -> None:
-    ap = base_parser(__doc__)
-    ap.add_argument("--k", type=int, default=20)
-    ap.add_argument("--eta", type=float, default=2.0)
-    args = ap.parse_args()
-
-    spark = make_session("txallo-t3")
-    from repro.metrics.blockchain import rollup
-    from repro.sim.runner import METHODS, allocate, method_stats
-
-    tx_df, tx_pdf, adj = load_workload(spark, args.sf, args.seed)
-    n_txs = tx_df.count()
-    lam = n_txs / args.k
-
-    import pandas as pd
-
-    rows = []
-    dists = {}
-    for method in METHODS:
-        res = allocate(method, adj, k=args.k, eta=args.eta, lam=lam, tx_pdf=tx_pdf)
-        stats = method_stats(spark, method, tx_df, adj, res)
-        m = rollup(*stats, k=args.k, eta=args.eta, lam=lam)
-        s = np.sort(m.norm_sigmas)[::-1]
-        dists[method] = s
-        rows.append(
-            {
-                "method": method,
-                "max σ/λ": float(s[0]),
-                "p90 σ/λ": float(np.quantile(s, 0.9)),
-                "median σ/λ": float(np.median(s)),
-                "min σ/λ": float(s[-1]),
-                "overloaded shards": int((s > 1.0).sum()),
-                "total σ/kλ": float(s.sum() / args.k),
-            }
-        )
-    print_markdown(
-        pd.DataFrame(rows),
-        f"T3 (Fig. 4) per-shard normalized workload, η={args.eta:g}, k={args.k}",
-    )
-    print("\nPer-shard σ/λ (sorted desc):")
-    for method, s in dists.items():
-        print(f"  {method:10s} " + " ".join(f"{v:.2f}" for v in s))
-
+from _common import case_parser
+from static_tables import print_t3, run_sweep
 
 if __name__ == "__main__":
-    main()
+    args = case_parser(__doc__).parse_args()
+    args.ks, args.etas = [args.k], [args.eta]  # the sweep at the case-study point only
+    print_t3(run_sweep(args), args.k, args.eta)

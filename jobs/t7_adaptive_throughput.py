@@ -7,37 +7,25 @@ Our stream is shorter, so τ₂ is scaled down (DESIGN.md §6).
 """
 import pandas as pd
 
-from _common import base_parser, make_session, print_markdown
+from _common import case_parser, print_markdown, run_adaptive
 
 
-def main() -> None:
-    ap = base_parser(__doc__)
-    ap.add_argument("--k", type=int, default=20)
-    ap.add_argument("--eta", type=float, default=2.0)
-    ap.add_argument("--step-blocks", type=int, default=2)
-    ap.add_argument("--tau2", type=int, nargs="+", default=[2, 4, 10])
-    args = ap.parse_args()
-
-    make_session("txallo-t7")  # spark only for parity of env; sim is per-step pandas
-    from repro.chain import EthParams, eth_transactions_pandas
-    from repro.sim.adaptive import adaptive_simulation
-
-    tx_pdf = eth_transactions_pandas(EthParams(sf=args.sf, seed=args.seed))
-    df = adaptive_simulation(
-        tx_pdf,
-        k=args.k,
-        eta=args.eta,
-        step_blocks=args.step_blocks,
-        tau2_steps=tuple(args.tau2),
-    )
+def print_t7(df: pd.DataFrame, k: int, eta: float) -> None:
+    """T7a/b from an ``adaptive_simulation`` frame."""
     evo = df.pivot(index="step", columns="variant", values="norm_throughput").reset_index()
     evo.columns.name = None
-    print_markdown(evo, f"T7a (Fig. 9a) per-step normalized throughput, k={args.k}, η={args.eta:g}")
+    print_markdown(evo, f"T7a (Fig. 9a) per-step normalized throughput, k={k}, η={eta:g}")
     avg = (
-        df.groupby("variant")["norm_throughput"].mean().rename("avg Λ/λ").reset_index()
+        df.groupby("variant")
+        .agg(**{"avg Λ/λ": ("norm_throughput", "mean"), "avg γ": ("gamma", "mean")})
+        .reset_index()
     )
     print_markdown(avg, "T7b (Fig. 9b) average throughput per variant")
 
 
 if __name__ == "__main__":
-    main()
+    ap = case_parser(__doc__)
+    ap.add_argument("--step-blocks", type=int, default=2)
+    ap.add_argument("--tau2", type=int, nargs="+", default=[2, 4, 10])
+    args = ap.parse_args()
+    print_t7(run_adaptive(args, args.tau2), args.k, args.eta)

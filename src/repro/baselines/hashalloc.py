@@ -21,8 +21,8 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def hash_alloc(accounts: np.ndarray, k: int, *, salt: int = 0) -> np.ndarray:
+def hash_alloc(accounts: np.ndarray, k: int) -> np.ndarray:
     """Shard labels in ``[0, k)`` for each account id (uniform, stateless)."""
     with np.errstate(over="ignore"):
-        h = _splitmix64(np.asarray(accounts, dtype=np.int64).view(np.uint64) + np.uint64(salt))
+        h = _splitmix64(np.asarray(accounts, dtype=np.int64).view(np.uint64))
     return (h % np.uint64(k)).astype(np.int64)

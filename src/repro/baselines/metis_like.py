@@ -161,7 +161,7 @@ def _refine(
     return np.array(labels, dtype=np.int64)
 
 
-def metis_like(adj: Adjacency, k: int, *, coarsen_to: int | None = None) -> np.ndarray:
+def metis_like(adj: Adjacency, k: int) -> np.ndarray:
     """Partition ``adj`` into ``k`` parts balancing weighted degree.
 
     Returns labels in ``[0, k)`` per node index. Deterministic.
@@ -169,7 +169,7 @@ def metis_like(adj: Adjacency, k: int, *, coarsen_to: int | None = None) -> np.n
     vw = adj.strength + adj.self_w  # tx-participation weight of the account
     vw = np.maximum(vw, 1e-12)  # isolated nodes still occupy a slot
     cap = (1.0 + IMBALANCE) * vw.sum() / k
-    target = coarsen_to or max(8 * k, 64)
+    target = max(8 * k, 64)
 
     indptr, indices, weights = adj.indptr, adj.indices, adj.weights
     ev, n = adj.ev, adj.n

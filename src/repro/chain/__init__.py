@@ -3,5 +3,6 @@ from repro.chain.ethdata import (  # noqa: F401
     EthParams,
     eth_transactions,
     eth_transactions_pandas,
+    spark_transactions,
     tx_incidence,
 )

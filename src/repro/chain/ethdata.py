@@ -282,5 +282,10 @@ def eth_transactions(
     account set of the transaction.
     """
     p = params or EthParams(sf=sf, seed=seed)
-    pdf = eth_transactions_pandas(p)
-    return spark.createDataFrame(pdf.to_dict("records"), schema=TX_SCHEMA)
+    return spark_transactions(spark, eth_transactions_pandas(p))
+
+
+def spark_transactions(spark: SparkSession, tx_pdf: pd.DataFrame) -> DataFrame:
+    """A pandas transaction frame as a Spark DataFrame of ``TX_SCHEMA``,
+    converted through Arrow when the session enables it."""
+    return spark.createDataFrame(tx_pdf, schema=TX_SCHEMA)

@@ -44,8 +44,6 @@ from repro.metrics.pandas_eval import evaluate_pandas
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
 
-EPS_SCALE = 1e-5  # the paper's ε = 1e-5·|T|
-
 
 @dataclass
 class _VariantState:
@@ -122,7 +120,6 @@ def adaptive_simulation(
         upkeep = time.perf_counter() - t0
         n_txs += len(step_pdf)
         lam_full = n_txs / k
-        eps = EPS_SCALE * n_txs
         hot = adj.index_of(np.unique(np.concatenate(step_counts[:2])))
         lam_step = len(step_pdf) / k
 
@@ -130,13 +127,11 @@ def adaptive_simulation(
             use_g = v.pure_g or (v.tau2 is not None and step > 0 and step % v.tau2 == 0)
             t0 = time.perf_counter()
             if use_g:
-                labels = g_txallo(adj, k=k, eta=eta, lam=lam_full, eps=eps)
+                labels = g_txallo(adj, k=k, eta=eta, lam=lam_full)
                 algo = "G"
             else:
                 prev = map_prev_labels(adj, v.accounts, v.labels)
-                labels = a_txallo(
-                    adj, prev, hot, k=k, eta=eta, lam=lam_full, eps=eps
-                )
+                labels = a_txallo(adj, prev, hot, k=k, eta=eta, lam=lam_full)
                 algo = "A"
             secs = time.perf_counter() - t0
             v.accounts, v.labels = adj.nodes.copy(), labels

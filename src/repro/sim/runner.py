@@ -93,24 +93,9 @@ def _metrics_row(method: str, k: int, eta: float, secs: float, m: AllocationMetr
         "norm_throughput": m.norm_throughput,
         "avg_latency": m.avg_latency,
         "worst_latency": m.worst_latency,
-        "max_norm_sigma": float(m.norm_sigmas.max()),
-        "min_norm_sigma": float(m.norm_sigmas.min()),
+        "norm_sigmas": m.norm_sigmas,
         "alloc_seconds": secs,
     }
-
-
-def method_stats(
-    spark: SparkSession,
-    method: str,
-    tx_df: DataFrame,
-    adj: Adjacency,
-    res: AllocResult,
-) -> tuple[int, int, pd.DataFrame]:
-    """The ``collect_stats`` triple for a finished allocation — streaming
-    stats for the scheduler, a Spark evaluation pass otherwise."""
-    if res.stream_stats is not None:
-        return res.stream_stats
-    return collect_stats(tx_df, alloc_to_df(spark, adj, res.labels))
 
 
 def sweep(
@@ -126,7 +111,8 @@ def sweep(
     """Full (method × k × η) grid; one row per configuration.
 
     Columns: method, k, eta, gamma, rho, norm_rho, norm_throughput,
-    avg_latency, worst_latency, max/min_norm_sigma, alloc_seconds.
+    avg_latency, worst_latency, norm_sigmas (σ_i/λ per shard, an array of
+    length k), alloc_seconds.
     """
     ks, etas, methods = list(ks), list(etas), list(methods)
     n_txs = tx_df.count()
@@ -134,22 +120,13 @@ def sweep(
     for k in ks:
         lam = n_txs / k
         for method in methods:
-            if method in ETA_AWARE:
-                for eta in etas:
-                    res = allocate(method, adj, k=k, eta=eta, lam=lam, tx_pdf=tx_pdf)
-                    stats = method_stats(spark, method, tx_df, adj, res)
-                    rows.append(
-                        _metrics_row(
-                            method, k, eta, res.seconds, rollup(*stats, k=k, eta=eta, lam=lam)
-                        )
-                    )
-            else:
-                res = allocate(method, adj, k=k, eta=etas[0], lam=lam, tx_pdf=tx_pdf)
-                stats = method_stats(spark, method, tx_df, adj, res)
-                for eta in etas:
-                    rows.append(
-                        _metrics_row(
-                            method, k, eta, res.seconds, rollup(*stats, k=k, eta=eta, lam=lam)
-                        )
-                    )
+            aware = method in ETA_AWARE
+            for run_eta in etas if aware else etas[:1]:
+                res = allocate(method, adj, k=k, eta=run_eta, lam=lam, tx_pdf=tx_pdf)
+                stats = res.stream_stats
+                if stats is None:
+                    stats = collect_stats(tx_df, alloc_to_df(spark, adj, res.labels))
+                for eta in [run_eta] if aware else etas:
+                    m = rollup(*stats, k=k, eta=eta, lam=lam)
+                    rows.append(_metrics_row(method, k, eta, res.seconds, m))
     return pd.DataFrame(rows)

@@ -1,16 +1,17 @@
-"""G-TxAllo — Algorithm 1 of the paper.
+"""G-TxAllo — Algorithm 1 of the paper, run through Algorithm 2's engine.
 
-Two phases over the full transaction graph:
-
-1. **Initialization**: Louvain produces ``l`` communities (data-driven,
-   usually ``l > k``). The ``k`` largest by workload σ become the shards;
-   every node of the remaining small communities is absorbed into the
-   shard with the largest *join* throughput gain (Eq. 6; the emptied
-   small communities are irrelevant to Λ, so the leave side is skipped).
-2. **Optimization**: sequential local-move sweeps over all nodes in
-   ascending node order, moving each node to the candidate community
-   (Eq. 9) with the largest total gain Eq. (8) when positive, until the
-   per-sweep accumulated gain ΔΛ drops below ε.
+1. **Initialization** (line 1): Louvain produces ``l`` communities
+   (data-driven, usually ``l > k``). The ``k`` largest by workload σ
+   become shards ``0..k-1``; every node of the remaining small
+   communities starts unassigned (``-1``).
+2. **Absorb and optimize** (lines 2-19): the same procedure as
+   A-TxAllo with V̂ = V, so :func:`~repro.txallo.a_txallo.a_txallo`
+   runs it over every node: the unassigned nodes are absorbed into the
+   shard with the largest *join* gain (Eq. 6; the emptied small
+   communities are irrelevant to Λ, so the leave side is skipped), then
+   local-move sweeps over all nodes move each node to the candidate
+   community (Eq. 9) with the largest positive total gain (Eq. 8) until
+   the per-sweep ΔΛ drops below ε = 1e-5·|T|.
 
 Deterministic: fixed sweep order, first-max tie-breaking toward the
 smallest shard label.
@@ -22,9 +23,7 @@ import numpy as np
 from repro.graph.adjacency import Adjacency
 from repro.louvain import louvain
 from repro.metrics.graphlevel import community_state
-from repro.txallo.state import TxAlloState
-
-_ALL_K = "all"
+from repro.txallo.a_txallo import a_txallo
 
 
 def _rank_communities(init: np.ndarray, sigma_init: np.ndarray, k: int) -> np.ndarray:
@@ -37,62 +36,10 @@ def _rank_communities(init: np.ndarray, sigma_init: np.ndarray, k: int) -> np.nd
     return shard_of_comm[init]
 
 
-def _assign_by_join(state: TxAlloState, nodes: np.ndarray) -> None:
-    """Absorb unassigned nodes by max join gain (Alg. 1 lines 2-9 /
-    Alg. 2 lines 1-8). ℂ_v = connected shards, or all k when none."""
-    for v in nodes:
-        r = state.best_move(int(v), join_only=True)
-        if r is None:
-            continue
-        q, _gain, w_vq, w_vp = r
-        state.move(int(v), q, w_vq, w_vp)
-
-
-def _optimize(
-    state: TxAlloState, nodes: np.ndarray, eps: float, max_sweeps: int
-) -> int:
-    """Local-move sweeps (Alg. 1 lines 10-19); returns sweeps executed."""
-    sweeps = 0
-    delta = np.inf
-    while delta >= eps and sweeps < max_sweeps:
-        delta = 0.0
-        for v in nodes:
-            r = state.best_move(int(v))
-            if r is None:
-                continue
-            q, gain, w_vq, w_vp = r
-            if gain > 0.0:
-                state.move(int(v), q, w_vq, w_vp)
-                delta += gain
-        sweeps += 1
-    return sweeps
-
-
-def g_txallo(
-    adj: Adjacency,
-    *,
-    k: int,
-    eta: float,
-    lam: float,
-    eps: float | None = None,
-    max_sweeps: int = 100,
-    init_labels: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run Algorithm 1; returns shard labels in ``[0, k)`` per node index.
-
-    ``eps`` defaults to the paper's ``1e-5 · |T|`` (total graph weight =
-    number of transactions). ``init_labels`` overrides the Louvain
-    initialization (used by tests).
-    """
-    if eps is None:
-        eps = 1e-5 * adj.total_weight
-    init = louvain(adj) if init_labels is None else np.asarray(init_labels)
+def g_txallo(adj: Adjacency, *, k: int, eta: float, lam: float) -> np.ndarray:
+    """Run Algorithm 1; returns shard labels in ``[0, k)`` per node index."""
+    init = louvain(adj)
     n_comm = int(init.max()) + 1 if len(init) else 0
     sigma_init, _ = community_state(adj, init, n_comm, eta=eta)
-    labels = _rank_communities(init, sigma_init, k)
-
-    state = TxAlloState(adj, labels, k, eta=eta, lam=lam)
-    small = np.nonzero(labels < 0)[0]  # ascending node order => deterministic
-    _assign_by_join(state, small)
-    _optimize(state, np.arange(adj.n), eps, max_sweeps)
-    return state.labels
+    ranked = _rank_communities(init, sigma_init, k)
+    return a_txallo(adj, ranked, np.arange(adj.n), k=k, eta=eta, lam=lam)

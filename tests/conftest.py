@@ -30,9 +30,9 @@ def adj(tx_pdf):
 
 @pytest.fixture(scope="session")
 def tx_df(spark, tx_pdf):
-    from repro.chain.ethdata import TX_SCHEMA
+    from repro.chain import spark_transactions
 
-    df = spark.createDataFrame(tx_pdf.to_dict("records"), schema=TX_SCHEMA).cache()
+    df = spark_transactions(spark, tx_pdf).cache()
     df.count()
     return df
 

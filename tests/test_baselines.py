@@ -22,11 +22,6 @@ class TestHashAlloc:
         b = hash_alloc(np.arange(100), 8)
         np.testing.assert_array_equal(a, b)
 
-    def test_salt_changes_allocation(self):
-        a = hash_alloc(np.arange(1000), 8, salt=0)
-        b = hash_alloc(np.arange(1000), 8, salt=1)
-        assert (a != b).any()
-
     @pytest.mark.parametrize("k", [4, 10])
     def test_roughly_uniform(self, k):
         labels = hash_alloc(np.arange(50_000), k)
@@ -94,7 +89,7 @@ class TestMetisLike:
 
     def test_tiny_graph_no_coarsening(self):
         adj = adjacency_from_pandas(two_cliques_edges(n=3, bridge_w=0.5))
-        labels = metis_like(adj, 2, coarsen_to=2)
+        labels = metis_like(adj, 2)
         assert labels.max() < 2
 
 
@@ -116,19 +111,19 @@ class TestShardScheduler:
         a, _ = self._run(tx_pdf)
         b, _ = self._run(tx_pdf)
         assert a.shard_of == b.shard_of
-        np.testing.assert_array_equal(a.n_intra, b.n_intra)
+        pd.testing.assert_frame_equal(a.per_shard, b.per_shard)
 
     def test_stream_counts_consistent(self, tx_pdf):
         res, _ = self._run(tx_pdf)
         assert res.n_txs == len(tx_pdf)
         # A cross tx is counted once per involved shard, mu >= 2.
-        assert res.n_cross.sum() >= 2 * res.n_cross_total
+        assert res.per_shard["n_cross"].sum() >= 2 * res.n_cross_total
         # Each tx contributes exactly 1 to the lam_hat total (1/mu per shard).
-        assert res.lam_hat.sum() == pytest.approx(res.n_txs)
+        assert res.per_shard["lam_hat"].sum() == pytest.approx(res.n_txs)
 
     def test_intra_plus_cross_totals(self, tx_pdf):
         res, _ = self._run(tx_pdf)
-        n_intra_total = int(res.n_intra.sum())
+        n_intra_total = int(res.per_shard["n_intra"].sum())
         assert n_intra_total + res.n_cross_total == res.n_txs
 
     def test_streaming_balance_is_tight(self, tx_pdf):

@@ -1,18 +1,22 @@
 """Tests for G-TxAllo (Algorithm 1)."""
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.baselines import hash_alloc
 from repro.graph import adjacency_from_pandas
-from repro.metrics.graphlevel import graph_gamma, graph_metrics
-from repro.txallo import g_txallo
+from repro.louvain import louvain
+from repro.metrics.graphlevel import community_state, graph_gamma, graph_metrics
+from repro.txallo import a_txallo, g_txallo
+from repro.txallo.g_txallo import _rank_communities
 from repro.txallo.state import TxAlloState
 from tests.conftest import label_digest, two_cliques_edges
 
 
-def run(adj, k=8, eta=2.0, lam=None, **kw):
+def run(adj, k=8, eta=2.0, lam=None):
     lam = lam if lam is not None else adj.total_weight / k
-    return g_txallo(adj, k=k, eta=eta, lam=lam, **kw)
+    return g_txallo(adj, k=k, eta=eta, lam=lam)
 
 
 class TestContract:
@@ -39,6 +43,16 @@ class TestContract:
         assert label_digest(labels) == (
             "f50495a858f57f883fad28d7bd420872a2a2fcf485bcfdbf4b4a2309db2e30f4"
         )
+
+    def test_is_engine_over_every_node(self, adj):
+        """Algorithm 1 = the Louvain-ranked init + Algorithm 2's engine
+        with V-hat = V, label for label."""
+        k, eta, lam = 8, 2.0, adj.total_weight / 8
+        init = louvain(adj)
+        sigma, _ = community_state(adj, init, int(init.max()) + 1, eta=eta)
+        ranked = _rank_communities(init, sigma, k)
+        want = a_txallo(adj, ranked, np.arange(adj.n), k=k, eta=eta, lam=lam)
+        np.testing.assert_array_equal(g_txallo(adj, k=k, eta=eta, lam=lam), want)
 
     @pytest.mark.parametrize("k", [2, 4, 16])
     def test_various_k(self, adj, k):
@@ -67,7 +81,7 @@ class TestQuality:
         # Re-run with an intentionally poor init: random labels.
         rng = np.random.default_rng(0)
         bad_init = rng.integers(0, k, adj.n)
-        improved = g_txallo(adj, k=k, eta=eta, lam=lam, init_labels=bad_init)
+        improved = a_txallo(adj, bad_init, np.arange(adj.n), k=k, eta=eta, lam=lam)
         st = TxAlloState(adj, improved, k, eta=eta, lam=lam)
         st0 = TxAlloState(adj, bad_init, k, eta=eta, lam=lam)
         assert st.throughput() >= st0.throughput()
@@ -102,13 +116,26 @@ class TestInitEdgeCases:
         k = 4
         lam = adj.total_weight / k
         init = np.zeros(adj.n, dtype=int)  # single community
-        labels = g_txallo(adj, k=k, eta=2.0, lam=lam, init_labels=init)
+        labels = a_txallo(adj, init, np.arange(adj.n), k=k, eta=2.0, lam=lam)
         assert labels.max() < k
 
-    def test_eps_zero_still_terminates(self, adj):
-        labels = g_txallo(
-            adj, k=4, eta=2.0, lam=adj.total_weight / 4, eps=0.0, max_sweeps=3
-        )
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_sweep_cap_ends_the_sweeps(self, adj, monkeypatch, cap):
+        """``MAX_SWEEPS`` ends the optimization: the sweep phase scans every
+        node exactly ``cap`` times. Cap 2 shows that ΔΛ after the first
+        sweep is still above ε, so at cap 1 the cap alone stopped it."""
+        engine = importlib.import_module("repro.txallo.a_txallo")
+        calls = {"sweep": 0}
+        best_move = TxAlloState.best_move
+
+        def counting(self, v, *, join_only=False):
+            calls["sweep"] += not join_only
+            return best_move(self, v, join_only=join_only)
+
+        monkeypatch.setattr(engine, "MAX_SWEEPS", cap)
+        monkeypatch.setattr(TxAlloState, "best_move", counting)
+        labels = g_txallo(adj, k=4, eta=2.0, lam=adj.total_weight / 4)
+        assert calls["sweep"] == cap * adj.n
         assert labels.max() < 4
 
     def test_disconnected_node_forced_assignment(self):

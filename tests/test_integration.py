@@ -1,25 +1,18 @@
 """End-to-end integration tests: the paper's qualitative claims must hold
 on the synthetic workload (these are the 'shape' assertions of T1-T6)."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.metrics.blockchain import evaluate, rollup
-from repro.sim.runner import alloc_to_df, allocate, method_stats
+from repro.metrics.blockchain import evaluate
+from repro.sim.runner import alloc_to_df, allocate, sweep
 
 
 @pytest.fixture(scope="module")
 def results(spark, tx_df, tx_pdf, adj):
-    """All four methods at k=8, eta=2 on the shared small stream."""
-    k, eta = 8, 2.0
-    n = tx_df.count()
-    lam = n / k
-    out = {}
-    for method in ("random", "metis", "scheduler", "txallo"):
-        res = allocate(method, adj, k=k, eta=eta, lam=lam, tx_pdf=tx_pdf)
-        stats = method_stats(spark, method, tx_df, adj, res)
-        out[method] = rollup(*stats, k=k, eta=eta, lam=lam)
-    return out
+    """All four methods at k=8, eta=2 on the shared small stream: the
+    sweep's rows, by method."""
+    grid = sweep(spark, tx_df, adj, ks=[8], etas=[2.0], tx_pdf=tx_pdf)
+    return {row.method: row for row in grid.itertuples()}
 
 
 class TestPaperShape:

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.sim.runner import METHODS, AllocResult, alloc_to_df, allocate, method_stats, sweep
+from repro.baselines import hash_alloc
+from repro.metrics.blockchain import evaluate, rollup
+from repro.sim.runner import METHODS, AllocResult, alloc_to_df, allocate, sweep
 
 
 class TestAllocate:
@@ -41,12 +43,6 @@ class TestAllocToDf:
         assert set(df.columns) == {"account", "shard"}
         assert df.count() == adj.n
 
-    def test_method_stats_spark_path(self, spark, tx_df, adj):
-        res = allocate("random", adj, k=4, eta=2.0, lam=1e9)
-        n_txs, n_cross, frame = method_stats(spark, "random", tx_df, adj, res)
-        assert n_txs == tx_df.count()
-        assert set(frame.columns) == {"shard", "n_intra", "n_cross", "lam_hat"}
-
 
 class TestSweep:
     @pytest.fixture(scope="class")
@@ -70,10 +66,33 @@ class TestSweep:
     def test_columns(self, grid):
         expect = {
             "method", "k", "eta", "gamma", "rho", "norm_rho", "norm_throughput",
-            "avg_latency", "worst_latency", "max_norm_sigma", "min_norm_sigma",
-            "alloc_seconds",
+            "avg_latency", "worst_latency", "norm_sigmas", "alloc_seconds",
         }
         assert set(grid.columns) == expect
+        assert all(len(v) == k for v, k in zip(grid["norm_sigmas"], grid["k"]))
+
+    def _row(self, grid, method, k, eta):
+        return grid[(grid.method == method) & (grid.k == k) & (grid.eta == eta)].iloc[0]
+
+    def test_map_method_rows_are_spark_evaluation(self, grid, spark, tx_df, adj):
+        """An account-mapping method is scored by one Spark pass per k,
+        rolled up at every η."""
+        alloc_df = alloc_to_df(spark, adj, hash_alloc(adj.nodes, 4))
+        for eta in (2.0, 6.0):
+            m = evaluate(tx_df, alloc_df, k=4, eta=eta)
+            row = self._row(grid, "random", 4, eta)
+            assert row["gamma"] == m.gamma
+            assert row["norm_throughput"] == m.norm_throughput
+            np.testing.assert_array_equal(row["norm_sigmas"], m.norm_sigmas)
+
+    def test_scheduler_rows_are_stream_stats(self, grid, adj, tx_pdf):
+        """The scheduler is scored by its streaming statistics, re-run per η."""
+        for eta in (2.0, 6.0):
+            res = allocate("scheduler", adj, k=2, eta=eta, lam=len(tx_pdf) / 2, tx_pdf=tx_pdf)
+            m = rollup(*res.stream_stats, k=2, eta=eta, lam=len(tx_pdf) / 2)
+            row = self._row(grid, "scheduler", 2, eta)
+            assert row["gamma"] == m.gamma
+            assert row["norm_throughput"] == m.norm_throughput
 
     def test_values_sane(self, grid):
         assert grid["gamma"].between(0, 1).all()
