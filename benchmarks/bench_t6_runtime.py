@@ -2,9 +2,10 @@
 
 The pytest-benchmark medians of these four benches are the T6 table at
 bench scale. As in EXPERIMENTS.md T6, random is near zero and G-TxAllo
-beats METIS-like, but the Shard Scheduler stand-in is faster than both
-graph methods, unlike the paper's, which is slowest (the documented T6
-deviation: its cost is per transaction, the graph methods' per account).
+beats METIS-like. The Shard Scheduler stand-in is not the slowest method,
+unlike the paper's (the documented T6 deviation): at SF 0.1 it is slower
+than G-TxAllo at k >= 20 and faster at smaller k, and its cost grows with
+the number of transactions, the graph methods' with the number of accounts.
 """
 import pytest
 

@@ -37,7 +37,7 @@ import numpy as np
 import pandas as pd
 
 from repro.chain.ethdata import tx_incidence
-from repro.metrics.blockchain import shard_stats
+from repro.metrics.blockchain import Stats, shard_stats
 
 BUFFER_RATIO = 1.0  # placement cap = BUFFER_RATIO·λ; buffer = 1 per §VI-B1
 CHUNK = 4096  # transactions whose account lists are built at a time
@@ -45,16 +45,15 @@ CHUNK = 4096  # transactions whose account lists are built at a time
 
 @dataclass(frozen=True)
 class SchedulerResult:
-    """Final mapping + the *streaming* per-shard statistics."""
+    """Final mapping + the *streaming* per-(shard, μ) counts."""
 
     shard_of: dict[int, int]
-    n_txs: int
-    n_cross_total: int  # txs that spanned >1 shard when processed
-    per_shard: pd.DataFrame  # shard_stats of the streaming (shard, μ) counts
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray]  # (shard, mu, count) at processing time
 
-    def stats(self) -> tuple[int, int, pd.DataFrame]:
-        """The same triple as ``repro.metrics.blockchain.collect_stats``."""
-        return self.n_txs, self.n_cross_total, self.per_shard
+    def stats(self) -> Stats:
+        """The evaluation state of ``counts``, the triple
+        ``repro.metrics.blockchain.collect_stats`` gives per allocation."""
+        return shard_stats(*self.counts)
 
 
 def _account_lists(offsets: np.ndarray, incidence: np.ndarray):
@@ -80,9 +79,9 @@ def shard_scheduler(
     ``lam`` is the per-shard capacity over the full window (λ = |T|/k in
     the paper's setting); the placement cap is ``BUFFER_RATIO·λ``.
     Each transaction's span μ at processing time is counted per
-    ``(shard, μ)`` in integers and folded by
-    :func:`repro.metrics.blockchain.shard_stats`, as both evaluators do.
-    Deterministic.
+    ``(shard, μ)`` in integers; :meth:`SchedulerResult.stats` folds the
+    counts with :func:`repro.metrics.blockchain.shard_stats`, as both
+    evaluators do. Deterministic.
     """
     cap = BUFFER_RATIO * lam
     order = np.argsort(tx_pdf["tx_id"].to_numpy(), kind="stable")
@@ -92,7 +91,6 @@ def shard_scheduler(
     shard_of: dict[int, int] = {}
     load = [0.0] * k
     count = [0] * (k * base)  # transactions per (shard, μ) at s·base + μ
-    n_cross_total = 0
 
     def best_shard(counts: dict[int, int]) -> int:
         """Shard Scheduler's placement objective, evaluated over every
@@ -144,13 +142,6 @@ def shard_scheduler(
         for s in shards:
             load[s] += w
             count[s * base + mu] += 1
-        if mu > 1:
-            n_cross_total += 1
     count = np.array(count, dtype=np.int64)
     key = np.flatnonzero(count)
-    return SchedulerResult(
-        shard_of=shard_of,
-        n_txs=len(order),
-        n_cross_total=n_cross_total,
-        per_shard=shard_stats(key // base, key % base, count[key]),
-    )
+    return SchedulerResult(shard_of, (key // base, key % base, count[key]))

@@ -156,9 +156,10 @@ def _activity_weights(p: EthParams) -> np.ndarray:
 
 
 def _relationship_universe(
-    p: EthParams, g: np.random.Generator
+    p: EthParams, g: np.random.Generator, comm_of: np.ndarray, act: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The persistent (src, dst) pair universe and its tx-popularity.
+    """The persistent (src, dst) pair universe and its tx-popularity, given
+    the :func:`_community_assignment` and :func:`_activity_weights` of ``p``.
 
     Non-hub sources pick an in-community destination with prob ``p_intra``
     (activity-weighted) and a global one otherwise. The hub's
@@ -166,9 +167,7 @@ def _relationship_universe(
     popularity of hub-incident relationships is renormalized so that
     exactly ``hub_share`` of transactions touch the hub.
     """
-    comm_of = _community_assignment(p)
     n_comm = int(comm_of.max()) + 1
-    act = _activity_weights(p)
     R = p.n_relationships
 
     src = g.choice(p.n_accounts, size=R, p=act)
@@ -226,7 +225,9 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
     g = np.random.default_rng(p.seed)
     n = p.n_txs
 
-    rel_src, rel_dst, rel_pop = _relationship_universe(p, g)
+    comm_of = _community_assignment(p)
+    act = _activity_weights(p)
+    rel_src, rel_dst, rel_pop = _relationship_universe(p, g, comm_of, act)
     r = g.choice(len(rel_pop), size=n, p=rel_pop)
     src = rel_src[r]
     dst = rel_dst[r].copy()
@@ -239,8 +240,6 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
     # Extra accounts of a multi-account tx come from the source's own
     # community (contract calls inside one dapp), activity-weighted — this
     # keeps multi-account txs clusterable, like the underlying stream.
-    comm_of = _community_assignment(p)
-    act = _activity_weights(p)
     total_extra = int(n_extra.sum())
     extra_pool = np.empty(total_extra + 1, dtype=np.int64)
     if total_extra:
@@ -270,19 +269,6 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
             "accounts": accounts,
         }
     )
-
-
-def eth_transactions(
-    spark: SparkSession, *, sf: float = 0.01, seed: int = 7, params: EthParams | None = None
-) -> DataFrame:
-    """Spark-facing wrapper around :func:`eth_transactions_pandas`.
-
-    Returns a DataFrame with schema ``(tx_id long, block long,
-    accounts array<long>)``; ``accounts`` is the sorted, deduplicated
-    account set of the transaction.
-    """
-    p = params or EthParams(sf=sf, seed=seed)
-    return spark_transactions(spark, eth_transactions_pandas(p))
 
 
 def spark_transactions(spark: SparkSession, tx_pdf: pd.DataFrame) -> DataFrame:

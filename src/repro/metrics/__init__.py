@@ -6,7 +6,6 @@ from repro.metrics.blockchain import (  # noqa: F401
     rollup,
     shard_mu_counts,
     shard_stats,
-    tx_mu,
 )
 from repro.metrics.formulas import clip_throughput, latency_zeta, rho  # noqa: F401
 from repro.metrics.graphlevel import community_state, graph_gamma, graph_metrics  # noqa: F401

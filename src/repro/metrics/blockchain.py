@@ -8,7 +8,8 @@ from integer per-(shard, μ) counts. The scalar rollups
 (γ, ρ, Λ, ζ, worst-case latency) come from :mod:`repro.metrics.formulas`.
 
 All heavy steps are Catalyst DataFrame ops (explode → join → two-level
-aggregation); only the per-(shard, μ) counts (at most k² rows) are
+aggregation) over every allocation of a sweep at once; only the
+per-(alloc, shard, μ) counts (at most k·max μ rows per allocation) are
 collected.
 """
 from __future__ import annotations
@@ -21,6 +22,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.metrics import formulas
+
+Stats = tuple[int, int, pd.DataFrame]  # (n_txs, n_cross, per-shard frame) of shard_stats
 
 
 @dataclass(frozen=True)
@@ -45,38 +48,41 @@ class AllocationMetrics:
         return self.sigmas / self.lam
 
 
-def tx_mu(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
-    """Per-transaction shard span: ``(tx_id, shards array<int>, mu)``.
-
-    ``alloc_df`` maps ``account -> shard`` and must cover every account in
-    ``tx_df`` (inner join; coverage is asserted by callers/tests via
-    uniqueness+completeness of the allocation).
+def shard_mu_counts(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
+    """Transactions per ``(alloc, shard, mu)`` for every allocation of a
+    stacked ``(alloc, account, shard)`` frame, in one query: a transaction
+    of span μ counts once in each of its μ shards. ``alloc_df`` must cover
+    every account of ``tx_df`` (inner join; ``sweep`` checks the count).
     """
     exploded = tx_df.select("tx_id", F.explode("accounts").alias("account"))
     joined = exploded.join(alloc_df, on="account", how="inner")
-    return joined.groupBy("tx_id").agg(
-        F.array_sort(F.collect_set("shard")).alias("shards"),
-        F.size(F.collect_set("shard")).alias("mu"),
+    spans = joined.groupBy("alloc", "tx_id").agg(F.collect_set("shard").alias("shards"))
+    per_shard = spans.select(
+        "alloc", F.size("shards").alias("mu"), F.explode("shards").alias("shard")
     )
+    return per_shard.groupBy("alloc", "shard", "mu").count()
 
 
-def shard_mu_counts(mu_df: DataFrame) -> DataFrame:
-    """Transactions per shard and span: ``(shard, mu, count)`` of a
-    :func:`tx_mu` frame. A transaction with span μ counts once in each of
-    its μ shards (explode of the shard set)."""
-    per_shard = mu_df.select("mu", F.explode("shards").alias("shard"))
-    return per_shard.groupBy("shard", "mu").count()
+def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> Stats:
+    """The η-independent evaluation state ``(n_txs, n_cross, frame)`` of
+    one allocation, from its integer counts ``c_{s,μ}`` of transactions per
+    shard and span (unique ``(shard, mu)`` pairs, any order).
 
-
-def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> pd.DataFrame:
-    """Per-shard ``(shard, n_intra, n_cross, lam_hat)`` from the integer
-    counts ``c_{s,μ}`` of transactions per shard and span (unique
-    ``(shard, mu)`` pairs, any order); one row per shard present.
-
-    ``n_intra = c_{s,1}``, ``n_cross = Σ_{μ>1} c_{s,μ}`` and, §III-B's
-    redundant-counting rule, ``Λ̂_s = Σ_μ c_{s,μ}/μ`` added in ascending μ:
-    the one fold of both evaluators, so their Λ̂ agree bit for bit.
+    A transaction with span μ is counted in exactly μ rows, so with
+    ``C_μ = Σ_s c_{s,μ}``: ``n_txs = Σ_μ C_μ/μ`` and ``n_cross = n_txs −
+    C_1``, in integers. ``frame`` has one row per shard present:
+    ``(shard, n_intra, n_cross, lam_hat)`` with ``n_intra = c_{s,1}``,
+    ``n_cross = Σ_{μ>1} c_{s,μ}`` and, §III-B's redundant-counting rule,
+    ``Λ̂_s = Σ_μ c_{s,μ}/μ`` added in ascending μ: the one fold of both
+    evaluators and the Shard Scheduler, so their Λ̂ agree bit for bit.
     """
+    c_mu = np.zeros(int(mu.max(initial=1)) + 1, dtype=np.int64)
+    np.add.at(c_mu, mu, count)
+    txs_mu, rest = np.divmod(c_mu[1:], np.arange(1, len(c_mu)))
+    if rest.any():
+        raise ValueError("a transaction of span mu must be counted in exactly mu shards")
+    n_txs = int(txs_mu.sum())
+
     order = np.lexsort((mu, shard))
     shard, mu, count = shard[order], mu[order], count[order]
     first = np.ones(len(shard), dtype=bool)
@@ -86,7 +92,7 @@ def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> pd.Data
     intra = mu == 1
     n_intra = np.bincount(row[intra], weights=count[intra], minlength=n)
     n_cross = np.bincount(row[~intra], weights=count[~intra], minlength=n)
-    return pd.DataFrame(
+    frame = pd.DataFrame(
         {
             "shard": shard[first],
             "n_intra": n_intra.astype(np.int64),
@@ -94,30 +100,26 @@ def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> pd.Data
             "lam_hat": np.bincount(row, weights=count / mu, minlength=n),
         }
     )
+    return n_txs, n_txs - int(txs_mu[0]), frame
 
 
-def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> tuple[int, int, pd.DataFrame]:
-    """One Spark pass producing the η-independent evaluation state:
-    ``(n_txs, n_cross_total, per-shard stats frame)``.
-
-    Spark counts transactions per ``(shard, mu)`` (at most k² rows); the
-    driver folds them with :func:`shard_stats`. η only scales the
-    cross-transaction workload in the rollup, so a parameter sweep over η
-    reuses this result (see sim.runner)."""
-    n_txs = tx_df.count()
-    mu_df = tx_mu(tx_df, alloc_df).cache()
-    try:
-        n_cross = mu_df.filter(F.col("mu") > 1).count()
-        counts = shard_mu_counts(mu_df).toPandas()
-    finally:
-        mu_df.unpersist()
-    stats = shard_stats(*(counts[c].to_numpy(np.int64) for c in ("shard", "mu", "count")))
-    return n_txs, n_cross, stats
+def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> dict[int, Stats]:
+    """One Spark action: :func:`shard_mu_counts` collected by one
+    ``toPandas`` and folded per allocation by :func:`shard_stats`, giving
+    ``{alloc: (n_txs, n_cross, per-shard stats frame)}``; an allocation
+    that places no account of the stream has no entry. η only scales the
+    cross-transaction workload in the rollup, so a sweep over η reuses
+    this result (see sim.runner)."""
+    counts = shard_mu_counts(tx_df, alloc_df).toPandas()
+    return {
+        int(alloc): shard_stats(*(rows[c].to_numpy(np.int64) for c in ("shard", "mu", "count")))
+        for alloc, rows in counts.groupby("alloc")
+    }
 
 
 def rollup(
     n_txs: int,
-    n_cross_total: int,
+    n_cross: int,
     stats: pd.DataFrame,
     *,
     k: int,
@@ -125,7 +127,8 @@ def rollup(
     lam: float | None = None,
 ) -> AllocationMetrics:
     """Finish an evaluation for one η from the η-independent state that
-    :func:`collect_stats` (or the pandas evaluator) produces.
+    :func:`shard_stats` produces (through :func:`collect_stats`, the
+    pandas evaluator or the Shard Scheduler).
 
     ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1).
     """
@@ -146,7 +149,7 @@ def rollup(
         eta=eta,
         lam=lam,
         n_txs=n_txs,
-        gamma=n_cross_total / n_txs if n_txs else 0.0,
+        gamma=n_cross / n_txs if n_txs else 0.0,
         rho=formulas.rho(sigmas),
         throughput=throughput,
         norm_throughput=throughput / lam if lam else 0.0,
@@ -159,10 +162,10 @@ def rollup(
 def evaluate(
     tx_df: DataFrame, alloc_df: DataFrame, *, k: int, eta: float, lam: float | None = None
 ) -> AllocationMetrics:
-    """Evaluate an allocation on a transaction stream (Spark path).
+    """Evaluate the one allocation of ``alloc_df`` on a stream (Spark path).
 
     ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1), under
     which a perfectly balanced all-intra allocation has Λ/λ = k.
     """
-    n_txs, n_cross, stats = collect_stats(tx_df, alloc_df)
-    return rollup(n_txs, n_cross, stats, k=k, eta=eta, lam=lam)
+    (stats,) = collect_stats(tx_df, alloc_df).values()
+    return rollup(*stats, k=k, eta=eta, lam=lam)

@@ -34,23 +34,22 @@ def evaluate_pandas(
 
     Every incidence entry is mapped to its shard; sorting the
     ``(tx, shard)`` pairs and dropping repeats leaves each transaction's
-    shard set, so μ is a count per transaction. The per-shard statistics
-    are :func:`repro.metrics.blockchain.shard_stats` of the integer
+    shard set, so μ is a count per transaction. The evaluation state is
+    :func:`repro.metrics.blockchain.shard_stats` of the integer
     ``(shard, μ)`` counts, the fold the Spark evaluator uses.
     """
     offsets, incidence = tx_incidence(tx_pdf)
-    n_txs = len(offsets) - 1
     shard = np.asarray(labels, dtype=np.int64)[index_of(accounts, incidence)]
-    tx = np.repeat(np.arange(n_txs), np.diff(offsets))
+    tx = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
     order = np.lexsort((shard, tx))
     tx, shard = tx[order], shard[order]
     first = np.ones(len(tx), dtype=bool)
     first[1:] = (tx[1:] != tx[:-1]) | (shard[1:] != shard[:-1])
     tx, shard = tx[first], shard[first]
 
-    mu = np.bincount(tx, minlength=n_txs)
+    mu = np.bincount(tx)  # every transaction has an account
     base = int(mu.max(initial=0)) + 1
     count = np.bincount(shard * base + mu[tx])
     key = np.flatnonzero(count)
     stats = shard_stats(key // base, key % base, count[key])
-    return rollup(n_txs, int((mu > 1).sum()), stats, k=k, eta=eta, lam=lam)
+    return rollup(*stats, k=k, eta=eta, lam=lam)

@@ -47,12 +47,12 @@ from repro.txallo.a_txallo import map_prev_labels
 
 @dataclass
 class _VariantState:
-    """One variant's evolving mapping: accounts + labels + refresh gap."""
+    """One variant's evolving mapping: labels (aligned to the previous
+    step's graph nodes) + refresh gap."""
 
     name: str
     tau2: int | None  # steps between G-TxAllo refreshes; None = never
     pure_g: bool
-    accounts: np.ndarray
     labels: np.ndarray
 
 
@@ -94,13 +94,11 @@ def adaptive_simulation(
     lam0 = len(hist) / k
     base_labels = g_txallo(adj0, k=k, eta=eta, lam=lam0)
 
-    variants = [
-        _VariantState(f"A/G tau2={t}", t, False, adj0.nodes.copy(), base_labels.copy())
-        for t in tau2_steps
-    ]
-    variants.append(_VariantState("A only", None, False, adj0.nodes.copy(), base_labels.copy()))
+    variants = [_VariantState(f"A/G tau2={t}", t, False, base_labels.copy()) for t in tau2_steps]
+    variants.append(_VariantState("A only", None, False, base_labels.copy()))
     if include_pure_g:
-        variants.append(_VariantState("G every step", None, True, adj0.nodes.copy(), base_labels.copy()))
+        variants.append(_VariantState("G every step", None, True, base_labels.copy()))
+    prev_nodes = adj0.nodes  # the accounts every variant's labels are aligned to
 
     eval_blocks = np.sort(rest["block"].unique())
     n_steps = max(1, len(eval_blocks) // step_blocks)
@@ -130,11 +128,11 @@ def adaptive_simulation(
                 labels = g_txallo(adj, k=k, eta=eta, lam=lam_full)
                 algo = "G"
             else:
-                prev = map_prev_labels(adj, v.accounts, v.labels)
+                prev = map_prev_labels(adj, prev_nodes, v.labels)
                 labels = a_txallo(adj, prev, hot, k=k, eta=eta, lam=lam_full)
                 algo = "A"
             secs = time.perf_counter() - t0
-            v.accounts, v.labels = adj.nodes.copy(), labels
+            v.labels = labels
 
             m = evaluate_pandas(
                 step_pdf, labels, k=k, eta=eta, lam=lam_step, accounts=adj.nodes
@@ -150,4 +148,5 @@ def adaptive_simulation(
                     "gamma": m.gamma,
                 }
             )
+        prev_nodes = adj.nodes
     return pd.DataFrame(rows)

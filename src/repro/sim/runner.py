@@ -1,16 +1,16 @@
 """Static-experiment harness: timed allocation + metric sweep (T1-T6).
 
-Dispatches the four allocators over a (method × k × η) grid and evaluates
-each resulting account-shard mapping with the Spark metric pipeline.
-η-independent allocators (random, metis) are allocated and stats-collected
-once per k and rolled up per η; η-aware allocators (txallo, scheduler) are
-re-run per η, matching the paper's protocol where each point of Figs. 2-8
-is a full run at that (k, η).
+Dispatches the four allocators over a (method × k × η) grid, then
+evaluates every resulting account-shard mapping in one Spark job.
+η-independent allocators (random, metis) are allocated once per k and
+rolled up per η; η-aware allocators (txallo, scheduler) are re-run per η,
+matching the paper's protocol where each point of Figs. 2-8 is a full run
+at that (k, η).
 
 The transaction-level ``scheduler`` is scored on its *streaming* shard
 statistics (see ``repro.baselines.shard_scheduler``); the three
 account-mapping methods are scored by the Spark pipeline over the final
-map. Both paths produce the identical ``collect_stats`` triple.
+map. Both paths produce the same ``shard_stats`` triple.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
 from repro.graph.adjacency import Adjacency
-from repro.metrics.blockchain import AllocationMetrics, collect_stats, rollup
+from repro.metrics.blockchain import AllocationMetrics, Stats, collect_stats, rollup
 from repro.txallo import g_txallo
 
 METHODS = ("random", "metis", "scheduler", "txallo")
@@ -42,7 +42,7 @@ class AllocResult:
 
     labels: np.ndarray
     seconds: float
-    stream_stats: tuple[int, int, pd.DataFrame] | None = None
+    stream_stats: Stats | None = None
 
 
 def allocate(
@@ -74,10 +74,15 @@ def allocate(
     return AllocResult(labels, time.perf_counter() - t0)
 
 
-def alloc_to_df(spark: SparkSession, adj: Adjacency, labels: np.ndarray) -> DataFrame:
-    """Wrap a label array as the Spark allocation DataFrame (account, shard)."""
+def alloc_to_df(spark: SparkSession, adj: Adjacency, labels_list: list[np.ndarray]) -> DataFrame:
+    """Stack label arrays as one Spark allocation DataFrame
+    ``(alloc, account, shard)``; allocation ``i`` is ``labels_list[i]``."""
     pdf = pd.DataFrame(
-        {"account": adj.nodes.astype(np.int64), "shard": np.asarray(labels, dtype=np.int64)}
+        {
+            "alloc": np.repeat(np.arange(len(labels_list), dtype=np.int64), adj.n),
+            "account": np.tile(adj.nodes.astype(np.int64), len(labels_list)),
+            "shard": np.concatenate([np.asarray(x, dtype=np.int64) for x in labels_list]),
+        }
     )
     return spark.createDataFrame(pdf)
 
@@ -110,23 +115,38 @@ def sweep(
 ) -> pd.DataFrame:
     """Full (method × k × η) grid; one row per configuration.
 
+    Every allocator runs first; then one :func:`collect_stats` call
+    evaluates all account mappings. An allocation that does not count
+    every transaction of ``tx_df`` once raises ``ValueError``.
+
     Columns: method, k, eta, gamma, rho, norm_rho, norm_throughput,
     avg_latency, worst_latency, norm_sigmas (σ_i/λ per shard, an array of
     length k), alloc_seconds.
     """
     ks, etas, methods = list(ks), list(etas), list(methods)
     n_txs = tx_df.count()
+    runs = [
+        (method, k, run_eta, allocate(method, adj, k=k, eta=run_eta, lam=n_txs / k, tx_pdf=tx_pdf))
+        for k in ks
+        for method in methods
+        for run_eta in (etas if method in ETA_AWARE else etas[:1])
+    ]
+    stats = [res.stream_stats for *_, res in runs]
+    maps = [i for i, triple in enumerate(stats) if triple is None]
+    if maps:
+        labels = [runs[i][-1].labels for i in maps]
+        stacked = collect_stats(tx_df, alloc_to_df(spark, adj, labels))
+        for alloc, i in enumerate(maps):
+            stats[i] = stacked.get(alloc)
+
     rows: list[dict] = []
-    for k in ks:
-        lam = n_txs / k
-        for method in methods:
-            aware = method in ETA_AWARE
-            for run_eta in etas if aware else etas[:1]:
-                res = allocate(method, adj, k=k, eta=run_eta, lam=lam, tx_pdf=tx_pdf)
-                stats = res.stream_stats
-                if stats is None:
-                    stats = collect_stats(tx_df, alloc_to_df(spark, adj, res.labels))
-                for eta in [run_eta] if aware else etas:
-                    m = rollup(*stats, k=k, eta=eta, lam=lam)
-                    rows.append(_metrics_row(method, k, eta, res.seconds, m))
+    for (method, k, run_eta, res), triple in zip(runs, stats):
+        if not triple or triple[0] != n_txs:
+            raise ValueError(
+                f"{method} at k={k}, eta={run_eta:g} counts {triple[0] if triple else 0} "
+                f"of the stream's {n_txs} transactions; adj must hold every account of tx_df"
+            )
+        for eta in [run_eta] if method in ETA_AWARE else etas:
+            m = rollup(*triple, k=k, eta=eta, lam=n_txs / k)
+            rows.append(_metrics_row(method, k, eta, res.seconds, m))
     return pd.DataFrame(rows)

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.chain import EthParams, eth_transactions_pandas, tx_incidence
+from repro.chain import EthParams, eth_transactions_pandas, spark_transactions, tx_incidence
 from repro.chain.ethdata import (
     _activity_weights,
     _community_assignment,
@@ -160,36 +160,35 @@ class TestInternals:
     def test_relationship_universe_no_self_pairs(self):
         p = EthParams(sf=0.005)
         g = np.random.default_rng(p.seed)
-        src, dst, pop = _relationship_universe(p, g)
+        src, dst, pop = _relationship_universe(
+            p, g, _community_assignment(p), _activity_weights(p)
+        )
         assert (src != dst).all()
         assert pop.sum() == pytest.approx(1.0)
 
     def test_relationship_hub_popularity_pinned(self):
         p = EthParams(sf=0.005)
         g = np.random.default_rng(p.seed)
-        src, dst, pop = _relationship_universe(p, g)
+        src, dst, pop = _relationship_universe(
+            p, g, _community_assignment(p), _activity_weights(p)
+        )
         hub = (src == 0) | (dst == 0)
         assert pop[hub].sum() == pytest.approx(p.hub_share)
 
 
 class TestSparkWrapper:
     def test_schema_and_count(self, spark):
-        from repro.chain import eth_transactions
-
-        df = eth_transactions(spark, sf=0.001, seed=7)
+        df = spark_transactions(spark, eth_transactions_pandas(EthParams(sf=0.001, seed=7)))
         assert df.count() == EthParams(sf=0.001).n_txs
         assert [f.name for f in df.schema.fields] == ["tx_id", "block", "accounts"]
 
     def test_matches_pandas(self, spark):
-        from repro.chain import eth_transactions
-
-        p = EthParams(sf=0.001, seed=7)
+        want = eth_transactions_pandas(EthParams(sf=0.001, seed=7))
         got = (
-            eth_transactions(spark, params=p)
+            spark_transactions(spark, want)
             .toPandas()
             .sort_values("tx_id")
             .reset_index(drop=True)
         )
-        want = eth_transactions_pandas(p)
         assert got["tx_id"].tolist() == want["tx_id"].tolist()
         assert [list(a) for a in got["accounts"]] == [list(a) for a in want["accounts"]]

@@ -71,14 +71,14 @@ class TestThroughputScaling:
         vals = []
         for k in (2, 4, 8):
             res = allocate("txallo", adj, k=k, eta=2.0, lam=n / k)
-            m = evaluate(tx_df, alloc_to_df(spark, adj, res.labels), k=k, eta=2.0)
+            m = evaluate(tx_df, alloc_to_df(spark, adj, [res.labels]), k=k, eta=2.0)
             vals.append(m.norm_throughput)
         assert vals[0] < vals[1] < vals[2]
 
     def test_throughput_decreases_with_eta(self, spark, tx_df, adj):
         """Fig. 5: larger η lowers everyone's throughput (random here)."""
         res = allocate("random", adj, k=8, eta=2.0, lam=tx_df.count() / 8)
-        adf = alloc_to_df(spark, adj, res.labels)
+        adf = alloc_to_df(spark, adj, [res.labels])
         t2 = evaluate(tx_df, adf, k=8, eta=2.0).norm_throughput
         t10 = evaluate(tx_df, adf, k=8, eta=10.0).norm_throughput
         assert t10 < t2

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import hash_alloc
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.blockchain import evaluate, rollup
 from repro.sim.runner import METHODS, AllocResult, alloc_to_df, allocate, sweep
 
@@ -38,10 +39,19 @@ class TestAllocate:
 
 class TestAllocToDf:
     def test_schema_and_rows(self, spark, adj):
-        labels = np.zeros(adj.n, dtype=np.int64)
+        labels = [np.zeros(adj.n, dtype=np.int64), hash_alloc(adj.nodes, 4)]
         df = alloc_to_df(spark, adj, labels)
-        assert set(df.columns) == {"account", "shard"}
-        assert df.count() == adj.n
+        assert [(f.name, f.dataType.simpleString()) for f in df.schema.fields] == [
+            ("alloc", "bigint"),
+            ("account", "bigint"),
+            ("shard", "bigint"),
+        ]
+        got = df.toPandas()
+        assert len(got) == 2 * adj.n
+        for alloc, want in enumerate(labels):
+            rows = got[got["alloc"] == alloc]
+            np.testing.assert_array_equal(rows["account"], adj.nodes)
+            np.testing.assert_array_equal(rows["shard"], want)
 
 
 class TestSweep:
@@ -75,9 +85,9 @@ class TestSweep:
         return grid[(grid.method == method) & (grid.k == k) & (grid.eta == eta)].iloc[0]
 
     def test_map_method_rows_are_spark_evaluation(self, grid, spark, tx_df, adj):
-        """An account-mapping method is scored by one Spark pass per k,
-        rolled up at every η."""
-        alloc_df = alloc_to_df(spark, adj, hash_alloc(adj.nodes, 4))
+        """An account-mapping method is scored by the Spark pipeline once
+        per k, rolled up at every η."""
+        alloc_df = alloc_to_df(spark, adj, [hash_alloc(adj.nodes, 4)])
         for eta in (2.0, 6.0):
             m = evaluate(tx_df, alloc_df, k=4, eta=eta)
             row = self._row(grid, "random", 4, eta)
@@ -113,3 +123,12 @@ class TestSweep:
             t = sub[sub.method == "txallo"]["norm_throughput"].iloc[0]
             r = sub[sub.method == "random"]["norm_throughput"].iloc[0]
             assert t >= r * 0.95  # txallo should essentially never lose
+
+    def test_adj_missing_accounts_raises(self, spark, tx_df, tx_pdf):
+        """A graph that lacks every account of one transaction drops that
+        transaction from the evaluation; the sweep refuses it."""
+        last = set(tx_pdf["accounts"].iloc[-1])
+        rest = tx_pdf[[last.isdisjoint(a) for a in tx_pdf["accounts"]]]
+        partial = adjacency_from_pandas(build_tx_graph_pandas(rest))
+        with pytest.raises(ValueError, match=f"of the stream's {len(tx_pdf)} transactions"):
+            sweep(spark, tx_df, partial, ks=[2], etas=[2.0], methods=["random"])
