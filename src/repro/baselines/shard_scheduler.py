@@ -36,11 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.chain.ethdata import tx_incidence
 from repro.metrics.blockchain import Stats, shard_stats
 
 BUFFER_RATIO = 1.0  # placement cap = BUFFER_RATIO·λ; buffer = 1 per §VI-B1
-CHUNK = 4096  # transactions whose account lists are built at a time
 
 
 @dataclass(frozen=True)
@@ -56,17 +54,6 @@ class SchedulerResult:
         return shard_stats(*self.counts)
 
 
-def _account_lists(offsets: np.ndarray, incidence: np.ndarray):
-    """Each transaction's accounts as a list of ints, in row order; built
-    ``CHUNK`` transactions at a time, so no list of the whole incidence
-    is ever held (it would add ~5 MiB of peak RSS at SF 0.06)."""
-    for lo in range(0, len(offsets) - 1, CHUNK):
-        bounds = offsets[lo : lo + CHUNK + 1]
-        flat = incidence[bounds[0] : bounds[-1]].tolist()
-        cuts = (bounds - bounds[0]).tolist()
-        yield from (flat[a:b] for a, b in zip(cuts, cuts[1:]))
-
-
 def shard_scheduler(
     tx_pdf: pd.DataFrame,
     k: int,
@@ -74,7 +61,8 @@ def shard_scheduler(
     eta: float,
     lam: float,
 ) -> SchedulerResult:
-    """Stream transactions in ``tx_id`` order.
+    """Stream transactions in ``tx_id`` order, each as its sorted account
+    set A_Tx; a transaction with no accounts raises ``ValueError``.
 
     ``lam`` is the per-shard capacity over the full window (λ = |T|/k in
     the paper's setting); the placement cap is ``BUFFER_RATIO·λ``.
@@ -84,9 +72,10 @@ def shard_scheduler(
     evaluators do. Deterministic.
     """
     cap = BUFFER_RATIO * lam
-    order = np.argsort(tx_pdf["tx_id"].to_numpy(), kind="stable")
-    offsets, incidence = tx_incidence(tx_pdf.iloc[order])
-    base = int(np.diff(offsets).max(initial=0)) + 1  # μ <= |A_Tx|
+    tx_ids = tx_pdf["tx_id"].to_numpy()
+    order = np.argsort(tx_ids, kind="stable")
+    lists = tx_pdf["accounts"].to_numpy()[order]
+    base = max(map(len, lists), default=0) + 1  # μ <= |A_Tx|
 
     shard_of: dict[int, int] = {}
     load = [0.0] * k
@@ -115,7 +104,10 @@ def shard_scheduler(
                     best_aff, best_aff_key = s, key
         return least if best_aff is None else best_aff
 
-    for accounts in _account_lists(offsets, incidence):
+    for tx_id, acc in zip(tx_ids[order], lists):
+        accounts = sorted(set(acc))
+        if not accounts:
+            raise ValueError(f"transaction {tx_id} has no accounts")
         counts: dict[int, int] = {}
         for a in accounts:
             s = shard_of.get(a)

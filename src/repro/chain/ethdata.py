@@ -48,8 +48,8 @@ TX_SCHEMA = T.StructType(
 
 
 def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The transaction→account incidence of a stream, as ``(offsets, accounts)``:
-    the one place the driver reads the ``accounts`` lists.
+    """The transaction→account incidence of a stream, as ``(offsets, accounts)``,
+    which the pandas graph builder and evaluator read.
 
     Row ``i`` of ``tx_pdf`` touches ``accounts[offsets[i]:offsets[i+1]]``:
     its account set A_Tx, sorted ascending and deduplicated. ``offsets``

@@ -21,46 +21,41 @@ from repro.graph.adjacency import Adjacency, adjacency_from_pandas
 from repro.graph.build_pandas import fold_tx_counts
 
 
-def tx_accounts(tx_df: DataFrame) -> DataFrame:
-    """Explode ``(tx_id, accounts)`` into ``(tx_id, pos, account)`` rows.
-
-    ``accounts`` is assumed deduplicated; this defensively re-applies
-    ``array_distinct``/``array_sort`` so the pair join below cannot emit a
-    spurious self-pair, then keeps the per-tx account count ``n_acct``.
-    """
-    canon = tx_df.withColumn("accounts", F.array_sort(F.array_distinct("accounts")))
-    return canon.select(
-        "tx_id",
-        F.size("accounts").alias("n_acct"),
-        F.posexplode("accounts").alias("pos", "account"),
-    )
-
-
 def build_tx_graph(tx_df: DataFrame) -> DataFrame:
     """Count the transactions of each edge key: ``(src, dst, n, count)``.
 
     ``src <= dst`` always; ``src == dst`` rows are self-loops (``n = 1``).
     :func:`collect_tx_graph` folds the counts into weighted edges.
-    Implementation: a position self-join on the exploded accounts produces
-    the ``C(n, 2)`` unordered pairs per transaction (accounts are sorted,
-    so ``pos_a < pos_b`` implies ``account_a < account_b``).
+    Implementation: each transaction's accounts are deduplicated, sorted
+    and exploded with their position; a position self-join then yields the
+    ``C(n, 2)`` unordered pairs (``pos_a < pos_b`` implies
+    ``account_a < account_b``), and the one self-pair of a single-account
+    transaction, as ``np.triu_indices(1, 0)`` does in
+    :func:`repro.graph.build_pandas.count_tx_edges`.
     """
-    acc = tx_accounts(tx_df)
+    canon = tx_df.withColumn("accounts", F.array_sort(F.array_distinct("accounts")))
+    acc = canon.select(
+        "tx_id",
+        F.size("accounts").alias("n_acct"),
+        F.posexplode("accounts").alias("pos", "account"),
+    )
     a = acc.alias("a")
     b = acc.alias("b")
-    pairs = a.join(
-        b, on=[F.col("a.tx_id") == F.col("b.tx_id"), F.col("a.pos") < F.col("b.pos")]
-    ).select(
-        F.col("a.account").alias("src"),
-        F.col("b.account").alias("dst"),
-        F.col("a.n_acct").alias("n"),
+    return (
+        a.join(
+            b,
+            on=[
+                F.col("a.tx_id") == F.col("b.tx_id"),
+                (F.col("a.pos") < F.col("b.pos")) | (F.col("a.n_acct") == 1),
+            ],
+        )
+        .groupBy(
+            F.col("a.account").alias("src"),
+            F.col("b.account").alias("dst"),
+            F.col("a.n_acct").alias("n"),
+        )
+        .count()
     )
-    self_loops = acc.filter(F.col("n_acct") == 1).select(
-        F.col("account").alias("src"),
-        F.col("account").alias("dst"),
-        F.col("n_acct").alias("n"),
-    )
-    return pairs.unionByName(self_loops).groupBy("src", "dst", "n").count()
 
 
 def collect_tx_graph(counts_df: DataFrame) -> pd.DataFrame:

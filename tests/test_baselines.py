@@ -153,3 +153,39 @@ class TestShardScheduler:
         res, lam = self._run(tx_pdf, k=1)
         assert res.stats()[:2] == (len(tx_pdf), 0)
         assert set(res.shard_of.values()) == {0}
+
+    def test_pinned(self, tx_pdf):
+        """Refactors must not move a placement or a streaming count on the
+        SMALL stream: ``shard_of`` in ascending account order, then the
+        ``(shard, mu, count)`` table."""
+        res, _ = self._run(tx_pdf, k=8, eta=2.0)
+        shards = [res.shard_of[a] for a in sorted(res.shard_of)]
+        assert label_digest(np.concatenate([shards, *res.counts])) == (
+            "c2d3663355dfbd82cc3014dff9172be6b8429dc2e27be32a0f52de858e21cc58"
+        )
+
+    def test_reads_account_sets_in_tx_id_order(self):
+        """Unsorted, repeated accounts and rows out of ``tx_id`` order
+        schedule exactly like the canonical stream. At k = 2, a repeated
+        account 1 would win tx 3's affinity tie and move account 5."""
+        rows = [
+            (0, 0, [1]), (1, 0, [2]), (2, 0, [3]), (3, 0, [1, 2, 5]),
+            (4, 1, [4, 6]), (5, 1, [3, 4, 6]), (6, 1, [2, 6]), (7, 1, [4, 7]),
+        ]
+        canon = pd.DataFrame(rows, columns=["tx_id", "block", "accounts"])
+        messy = canon.assign(
+            accounts=[list(reversed(a)) + a[:1] * 2 for a in canon["accounts"]]
+        ).iloc[[5, 0, 7, 2, 1, 6, 3, 4]]
+        for k in (2, 3):
+            a, _ = self._run(canon, k=k)
+            b, _ = self._run(messy, k=k)
+            assert a.shard_of == b.shard_of
+            for x, y in zip(a.counts, b.counts):
+                np.testing.assert_array_equal(x, y)
+
+    def test_empty_account_list_raises(self):
+        bad = pd.DataFrame(
+            [(0, 0, [1, 2]), (1, 0, [])], columns=["tx_id", "block", "accounts"]
+        )
+        with pytest.raises(ValueError, match="transaction 1 has no accounts"):
+            self._run(bad, k=2)
