@@ -89,7 +89,8 @@ def label_weights(v: int, indptr: list, indices: list, weights: list, labels: li
     Takes the CSR as Python lists (no numpy call per node) and adds the
     weights in CSR slot order, so each sum equals ``np.bincount`` over the
     same slots bit for bit. The one neighbour-label scan of the Louvain,
-    METIS-like and TxAllo local moves.
+    METIS-like and TxAllo (:meth:`~repro.txallo.state.TxAlloState.sweep`)
+    local moves.
     """
     acc: dict = {}
     for i in range(indptr[v], indptr[v + 1]):

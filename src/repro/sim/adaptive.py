@@ -87,7 +87,8 @@ def adaptive_simulation(
         )
     split_block = blocks[n_hist - 1]
     hist = tx_pdf[tx_pdf["block"] <= split_block].reset_index(drop=True)
-    rest = tx_pdf[tx_pdf["block"] > split_block].reset_index(drop=True)
+    rest = tx_pdf[tx_pdf["block"] > split_block].sort_values("block", kind="stable")
+    rest_blocks = rest["block"].to_numpy()
 
     counts = count_tx_edges(hist)
     adj0 = adjacency_from_pandas(fold_tx_counts(*counts))
@@ -100,17 +101,17 @@ def adaptive_simulation(
         variants.append(_VariantState("G every step", None, True, base_labels.copy()))
     prev_nodes = adj0.nodes  # the accounts every variant's labels are aligned to
 
-    eval_blocks = np.sort(rest["block"].unique())
+    eval_blocks = np.unique(rest_blocks)
     n_steps = max(1, len(eval_blocks) // step_blocks)
     n_txs = len(hist)
     rows: list[dict] = []
     for step in range(n_steps):
         lo = eval_blocks[step * step_blocks]
-        hi_idx = min((step + 1) * step_blocks, len(eval_blocks)) - 1
-        hi = eval_blocks[hi_idx]
-        step_pdf = rest[(rest["block"] >= lo) & (rest["block"] <= hi)].reset_index(drop=True)
-        if step_pdf.empty:
-            continue
+        hi = eval_blocks[min((step + 1) * step_blocks, len(eval_blocks)) - 1]
+        # `rest` is sorted by block, so a step is one slice of it.
+        lo_i = np.searchsorted(rest_blocks, lo, side="left")
+        hi_i = np.searchsorted(rest_blocks, hi, side="right")
+        step_pdf = rest.iloc[lo_i:hi_i].reset_index(drop=True)
         t0 = time.perf_counter()
         step_counts = count_tx_edges(step_pdf)
         counts = merge_tx_counts(counts, step_counts)

@@ -11,8 +11,12 @@ in ascending node order (Eq. 8) until the per-sweep accumulated gain
 phases (Alg. 1 lines 2-19) are this procedure with V̂ = V and the
 Louvain-ranked mapping as the previous one.
 
+Both phases run through :meth:`~repro.txallo.state.TxAlloState.sweep`,
+on Python floats: the per-shard (σ, Λ̂) and clipped Λ that a move
+updates for its source and target shard only (Lemma 1).
+
 Cost per call: the sweeps touch V̂ and its neighbourhoods only, but the
-:class:`~repro.txallo.state.TxAlloState` set-up is O(N+E) — a
+:class:`~repro.txallo.state.TxAlloState` set-up is still O(N+E) — a
 from-scratch (σ, Λ̂) and list copies of the whole CSR — so a step's time
 grows with the history, unlike §V-C's O(|V̂|·k).
 """
@@ -44,36 +48,6 @@ def map_prev_labels(
     return out
 
 
-def _assign_by_join(state: TxAlloState, nodes: np.ndarray) -> None:
-    """Absorb unassigned nodes by max join gain (Alg. 1 lines 2-9 /
-    Alg. 2 lines 1-8). ℂ_v = connected shards, or all k when none."""
-    for v in nodes:
-        r = state.best_move(int(v), join_only=True)
-        if r is None:
-            continue
-        q, _gain, w_vq, w_vp = r
-        state.move(int(v), q, w_vq, w_vp)
-
-
-def _optimize(state: TxAlloState, nodes: np.ndarray, eps: float) -> int:
-    """Local-move sweeps (Alg. 1 lines 10-19 / Alg. 2 lines 9-18);
-    returns the sweeps executed."""
-    sweeps = 0
-    delta = np.inf
-    while delta >= eps and sweeps < MAX_SWEEPS:
-        delta = 0.0
-        for v in nodes:
-            r = state.best_move(int(v))
-            if r is None:
-                continue
-            q, gain, w_vq, w_vp = r
-            if gain > 0.0:
-                state.move(int(v), q, w_vq, w_vp)
-                delta += gain
-        sweeps += 1
-    return sweeps
-
-
 def a_txallo(
     adj: Adjacency,
     prev_labels: np.ndarray,
@@ -98,7 +72,13 @@ def a_txallo(
         raise ValueError("unassigned nodes outside V-hat: stale previous mapping")
 
     state = TxAlloState(adj, prev_labels, k, eta=eta, lam=lam)
-    new_nodes = hot[prev_labels[hot] < 0]  # ascending order => deterministic
-    _assign_by_join(state, new_nodes)
-    _optimize(state, hot, 1e-5 * adj.total_weight)  # the paper's ε = 1e-5·|T|
+    # Absorb the new nodes (Alg. 1 lines 2-9 / Alg. 2 lines 1-8), then
+    # sweep V̂ (lines 10-19 / 9-18), both in ascending order.
+    state.sweep(hot[prev_labels[hot] < 0].tolist(), join_only=True)
+    nodes = hot.tolist()
+    eps = 1e-5 * adj.total_weight  # the paper's ε = 1e-5·|T|
+    sweeps, delta = 0, np.inf
+    while delta >= eps and sweeps < MAX_SWEEPS:
+        delta = state.sweep(nodes)
+        sweeps += 1
     return state.labels

@@ -32,8 +32,9 @@ class TxAlloState:
     ``labels[v]`` is the community of node index ``v``; ``-1`` marks an
     unassigned node (contributes nothing; its incident edges count as
     cross for assigned neighbors, consistent with
-    :func:`~repro.metrics.graphlevel.community_state`). Change
-    ``labels`` only through :meth:`move`.
+    :func:`~repro.metrics.graphlevel.community_state`). ``labels``,
+    ``sigma`` and ``lam_hat`` are numpy snapshots of the Python lists
+    that :meth:`move` and :meth:`sweep` update.
     """
 
     def __init__(
@@ -43,19 +44,33 @@ class TxAlloState:
         self.k = int(k)
         self.eta = float(eta)
         self.lam = float(lam)
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
-        if self.labels.max(initial=-1) >= k:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.max(initial=-1) >= k:
             raise ValueError("labels must be < k (or -1 for unassigned)")
-        self.sigma, self.lam_hat = community_state(adj, self.labels, k, eta=eta)
-        self._s = adj.strength
-        # Python-list copies for the per-node scan of `best_move`;
-        # `move` keeps `_labels_l` equal to `labels`.
+        sigma, lam_hat = community_state(adj, labels, k, eta=eta)
+        # Per-shard σ_q, Λ̂_q and Λ_q = clip(σ_q, Λ̂_q) as Python floats,
+        # and Python-list copies of the CSR and labels for `sweep`.
+        self._sig = sigma.tolist()
+        self._lh = lam_hat.tolist()
+        self._lam_q = clip_throughput(sigma, lam_hat, self.lam).tolist()
         self._indptr_l = adj.indptr.tolist()
         self._ind_l = adj.indices.tolist()
         self._w_l = adj.weights.tolist()
         self._self_l = adj.self_w.tolist()
-        self._s_l = self._s.tolist()
-        self._labels_l = self.labels.tolist()
+        self._s_l = adj.strength.tolist()
+        self._labels_l = labels.tolist()
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.array(self._labels_l, dtype=np.int64)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.array(self._sig)
+
+    @property
+    def lam_hat(self) -> np.ndarray:
+        return np.array(self._lh)
 
     # -- read-side helpers -------------------------------------------------
     def throughput(self) -> float:
@@ -75,14 +90,14 @@ class TxAlloState:
         labs, w = labs[ok], w[ok]
         uniq, inv = np.unique(labs, return_inverse=True)
         wsum = np.bincount(inv, weights=w)
-        own = self.labels[v]
+        own = self._labels_l[v]
         keep = uniq != own
         return uniq[keep], wsum[keep]
 
     def own_weight(self, v: int) -> float:
         """w_{v, V_p \\ v}: weight from v to other members of its community."""
         nbr, w = self.adj.neighbors(v)
-        return float(w[self.labels[nbr] == self.labels[v]].sum())
+        return float(w[self.labels[nbr] == self._labels_l[v]].sum())
 
     # -- gain math ---------------------------------------------------------
     def _clip(self, sigma, lam_hat):
@@ -90,8 +105,8 @@ class TxAlloState:
 
     def join_gain(self, v: int, targets: np.ndarray, w_vq: np.ndarray) -> np.ndarray:
         """Δ_join Λ_q for joining each target community (Eq. 6), vectorized."""
-        s_v = float(self._s[v])
-        w_vv = float(self.adj.self_w[v])
+        s_v = self._s_l[v]
+        w_vv = self._self_l[v]
         sig_q = self.sigma[targets]
         lh_q = self.lam_hat[targets]
         sig_q2 = sig_q + w_vv + self.eta * (s_v - w_vq) + (1.0 - self.eta) * w_vq
@@ -100,17 +115,16 @@ class TxAlloState:
 
     def leave_gain(self, v: int) -> float:
         """Δ_leave Λ_p for v leaving its current community (§V-B)."""
-        p = int(self.labels[v])
+        p = self._labels_l[v]
         if p < 0:
             return 0.0
-        s_v = float(self._s[v])
-        w_vv = float(self.adj.self_w[v])
+        s_v = self._s_l[v]
+        w_vv = self._self_l[v]
         w_vp = self.own_weight(v)
-        sig_p2 = self.sigma[p] - w_vv - self.eta * (s_v - w_vp) - (1.0 - self.eta) * w_vp
-        lh_p2 = self.lam_hat[p] - w_vv - s_v / 2.0
-        return float(
-            self._clip(sig_p2, lh_p2) - self._clip(self.sigma[p], self.lam_hat[p])
-        )
+        sig_p, lh_p = self._sig[p], self._lh[p]
+        sig_p2 = sig_p - w_vv - self.eta * (s_v - w_vp) - (1.0 - self.eta) * w_vp
+        lh_p2 = lh_p - w_vv - s_v / 2.0
+        return float(self._clip(sig_p2, lh_p2) - self._clip(sig_p, lh_p))
 
     def move_gain(self, v: int, targets: np.ndarray, w_vq: np.ndarray) -> np.ndarray:
         """Δ_(v,p,q) Λ = Δ_leave Λ_p + Δ_join Λ_q (Eq. 8), per target."""
@@ -119,87 +133,88 @@ class TxAlloState:
     # -- sweep path --------------------------------------------------------
     #
     # The numpy methods above are the readable reference (and the test
-    # oracle); the sweep loops call `best_move`, which gets ℂ_v and the
-    # w_{v,q} from `label_weights`, the neighbour-label scan that Louvain
-    # and METIS-like share, and evaluates Eq. (8) in pure Python. For the
-    # low-degree nodes that dominate transaction graphs, per-node
-    # numpy-call overhead (~25 µs) dwarfs the actual work; this path runs
-    # an order of magnitude faster and is bit-identical in its decisions
-    # (ties broken toward the smallest shard label in both).
+    # oracle). `sweep` gets ℂ_v and the w_{v,q} from `label_weights`, the
+    # neighbour-label scan that Louvain and METIS-like share, and
+    # evaluates Eqs. (6)/(8) inline on the per-shard Python floats: for
+    # the low-degree nodes that dominate transaction graphs, a numpy call
+    # or scalar read per candidate costs more than the arithmetic. Every
+    # expression keeps the oracle's operation order (regrouping a sum
+    # changes bits), so the decisions are bit-identical; ties go to the
+    # smallest shard label in both.
 
-    def _clip1(self, sig: float, lh: float) -> float:
-        if sig <= self.lam:
-            return lh
-        return self.lam / sig * lh
+    def sweep(self, nodes: list, *, join_only: bool = False) -> float:
+        """One pass over ``nodes`` in order; returns the ΔΛ of its moves.
 
-    def best_move(
-        self, v: int, *, join_only: bool = False
-    ) -> tuple[int, float, float, float] | None:
-        """The best target for node v: ``(q, gain, w_vq, w_vp)`` per
-        Eq. (8) (or Eq. (6) when ``join_only`` — the init/new-node
-        phase, where the leave side is skipped and empty ℂ_v falls back
-        to all k). ``w_vp`` is v's weight into its current community,
-        returned so the subsequent :meth:`move` avoids recomputing it.
-
-        Returns None when ℂ_v is empty and ``join_only`` is False (the
-        node stays, Alg. 1 line 13's skip)."""
-        sigma, lam_hat = self.sigma, self.lam_hat
-        p = self._labels_l[v]
-        acc = label_weights(v, self._indptr_l, self._ind_l, self._w_l, self._labels_l)
-        acc.pop(-1, None)  # unassigned neighbours
-        w_own = acc.pop(p, 0.0)
-        if not acc:
-            if not join_only:
-                return None
-            acc = {q: 0.0 for q in range(self.k)}
-            acc.pop(p, None)
+        Each node moves to the candidate with the largest gain: Eq. (8)
+        over ℂ_v, moving only on a positive gain (Alg. 1 lines 11-18;
+        a node with empty ℂ_v stays, line 13's skip). With ``join_only``
+        (the absorb phase, Alg. 1 lines 2-9) the gain is Eq. (6), the
+        leave side is skipped, empty ℂ_v falls back to all k, and the
+        node always joins its best candidate."""
+        indptr, ind, wts, labels = self._indptr_l, self._ind_l, self._w_l, self._labels_l
+        sig, lh, lam_q, s_l, self_l = self._sig, self._lh, self._lam_q, self._s_l, self._self_l
+        eta, eta1, lam = self.eta, 1.0 - self.eta, self.lam
+        delta = 0.0
+        for v in nodes:
+            p = labels[v]
+            acc = label_weights(v, indptr, ind, wts, labels)
+            acc.pop(-1, None)  # unassigned neighbours
+            w_own = acc.pop(p, 0.0)
             if not acc:
-                return None
-
-        s_v = self._s_l[v]
-        w_vv = self._self_l[v]
-        eta, lam = self.eta, self.lam
-        if join_only or p < 0:
-            leave = 0.0
-        else:
-            sig_p, lh_p = sigma[p], lam_hat[p]
-            sig_p2 = sig_p - w_vv - eta * (s_v - w_own) - (1.0 - eta) * w_own
-            lh_p2 = lh_p - w_vv - s_v / 2.0
-            leave = self._clip1(sig_p2, lh_p2) - self._clip1(sig_p, lh_p)
-
-        best_q, best_gain, best_w = -1, -np.inf, 0.0
-        for q in sorted(acc):  # ascending labels -> first-max tie-break
-            w_vq = acc[q]
-            sig_q, lh_q = sigma[q], lam_hat[q]
-            sig_q2 = sig_q + w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
-            lh_q2 = lh_q + w_vv + s_v / 2.0
-            gain = leave + self._clip1(sig_q2, lh_q2) - self._clip1(sig_q, lh_q)
-            if gain > best_gain:
-                best_q, best_gain, best_w = q, gain, w_vq
-        return best_q, best_gain, best_w, w_own
+                if not join_only:
+                    continue
+                acc = dict.fromkeys(range(self.k), 0.0)
+                acc.pop(p, None)
+                if not acc:
+                    continue
+            s_v = s_l[v]
+            w_vv = self_l[v]
+            half = s_v / 2.0
+            if join_only or p < 0:
+                leave = 0.0
+            else:
+                sig_p2 = sig[p] - w_vv - eta * (s_v - w_own) - eta1 * w_own
+                lh_p2 = lh[p] - w_vv - half
+                leave = (lh_p2 if sig_p2 <= lam else lam / sig_p2 * lh_p2) - lam_q[p]
+            best_q, best_gain, best_w = -1, -np.inf, 0.0
+            for q in sorted(acc):  # ascending labels -> first-max tie-break
+                w_vq = acc[q]
+                sig_q2 = sig[q] + w_vv + eta * (s_v - w_vq) + eta1 * w_vq
+                lh_q2 = lh[q] + w_vv + half
+                gain = leave + (lh_q2 if sig_q2 <= lam else lam / sig_q2 * lh_q2) - lam_q[q]
+                if gain > best_gain:
+                    best_q, best_gain, best_w = q, gain, w_vq
+            if join_only or best_gain > 0.0:
+                self.move(v, best_q, best_w, w_own)
+                delta += best_gain
+        return delta
 
     # -- mutation ----------------------------------------------------------
     def move(
         self, v: int, q: int, w_vq: float | None = None, w_vp: float | None = None
     ) -> None:
-        """Move v to community q, updating (σ, Λ̂) of source and target only
-        (Lemma 1 guarantees other communities are unaffected). ``w_vq``
-        and ``w_vp`` may be passed through from :meth:`best_move` to
-        skip recomputing the community weights."""
-        p = int(self.labels[v])
+        """Move v to community q, updating σ, Λ̂ and the clipped Λ of the
+        source and target only (Lemma 1 guarantees other communities are
+        unaffected). ``w_vq`` and ``w_vp``, v's weight into q and into its
+        current community, may be passed in (as :meth:`sweep` does) to
+        skip recomputing them."""
+        p = self._labels_l[v]
         if p == q:
             return
-        s_v = float(self._s[v])
-        w_vv = float(self.adj.self_w[v])
+        sig, lh, lam_q, lam = self._sig, self._lh, self._lam_q, self.lam
+        eta = self.eta
+        s_v = self._s_l[v]
+        w_vv = self._self_l[v]
         if p >= 0:
             if w_vp is None:
                 w_vp = self.own_weight(v)
-            self.sigma[p] -= w_vv + self.eta * (s_v - w_vp) + (1.0 - self.eta) * w_vp
-            self.lam_hat[p] -= w_vv + s_v / 2.0
+            sig[p] -= w_vv + eta * (s_v - w_vp) + (1.0 - eta) * w_vp
+            lh[p] -= w_vv + s_v / 2.0
+            lam_q[p] = lh[p] if sig[p] <= lam else lam / sig[p] * lh[p]
         if w_vq is None:
             nbr, w = self.adj.neighbors(v)
             w_vq = float(w[self.labels[nbr] == q].sum())
-        self.sigma[q] += w_vv + self.eta * (s_v - w_vq) + (1.0 - self.eta) * w_vq
-        self.lam_hat[q] += w_vv + s_v / 2.0
-        self.labels[v] = q
+        sig[q] += w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
+        lh[q] += w_vv + s_v / 2.0
+        lam_q[q] = lh[q] if sig[q] <= lam else lam / sig[q] * lh[q]
         self._labels_l[v] = int(q)

@@ -8,6 +8,7 @@ from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.graphlevel import graph_metrics
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
+from tests.conftest import label_digest
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,14 @@ class TestATxAllo:
         ours = graph_metrics(adj_full, labels, k, eta=eta, lam=lam)
         base = graph_metrics(adj_full, naive, k, eta=eta, lam=lam)
         assert ours["throughput"] >= base["throughput"] - 1e-9
+
+    def test_labels_pinned(self, split_stream):
+        """Kernel refactors must not move a single A-TxAllo label."""
+        adj_full, prev, hot, lam = self._setup(split_stream)
+        labels = a_txallo(adj_full, prev, hot, k=6, eta=2.0, lam=lam)
+        assert label_digest(labels) == (
+            "f98c8085b8c1e55598ee2014679e2435397e001ccf3d8a43450267e39a4f7cd6"
+        )
 
     def test_stale_mapping_rejected(self, split_stream):
         adj_full, prev, hot, lam = self._setup(split_stream)

@@ -44,6 +44,13 @@ class TestContract:
             "f50495a858f57f883fad28d7bd420872a2a2fcf485bcfdbf4b4a2309db2e30f4"
         )
 
+    def test_labels_pinned_k10_eta6(self, tx_pdf, adj):
+        """A second pin, at another k and η, on the same SMALL stream."""
+        labels = g_txallo(adj, k=10, eta=6.0, lam=len(tx_pdf) / 10)
+        assert label_digest(labels) == (
+            "ff80d9b685e386c540af141c4175d8502d124d73e0e327b5ec2132f3cd1f2bce"
+        )
+
     def test_is_engine_over_every_node(self, adj):
         """Algorithm 1 = the Louvain-ranked init + Algorithm 2's engine
         with V-hat = V, label for label."""
@@ -126,14 +133,14 @@ class TestInitEdgeCases:
         sweep is still above ε, so at cap 1 the cap alone stopped it."""
         engine = importlib.import_module("repro.txallo.a_txallo")
         calls = {"sweep": 0}
-        best_move = TxAlloState.best_move
+        sweep = TxAlloState.sweep
 
-        def counting(self, v, *, join_only=False):
-            calls["sweep"] += not join_only
-            return best_move(self, v, join_only=join_only)
+        def counting(self, nodes, *, join_only=False):
+            calls["sweep"] += 0 if join_only else len(nodes)
+            return sweep(self, nodes, join_only=join_only)
 
         monkeypatch.setattr(engine, "MAX_SWEEPS", cap)
-        monkeypatch.setattr(TxAlloState, "best_move", counting)
+        monkeypatch.setattr(TxAlloState, "sweep", counting)
         labels = g_txallo(adj, k=4, eta=2.0, lam=adj.total_weight / 4)
         assert calls["sweep"] == cap * adj.n
         assert labels.max() < 4

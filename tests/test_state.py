@@ -11,6 +11,7 @@ import pytest
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.graphlevel import community_state
 from repro.metrics.formulas import clip_throughput
+from repro.txallo import g_txallo
 from repro.txallo.state import TxAlloState
 from tests.conftest import tiny_tx_pdf, two_cliques_edges
 
@@ -50,6 +51,24 @@ class TestIncrementalConsistency:
         for v in unassigned[:50]:
             state.move(int(v), int(rng.integers(0, k)))
         _assert_state_consistent(state)
+
+    @pytest.mark.parametrize("eta,lam_scale", [(2.0, 1.0), (6.0, 0.3)])
+    def test_kept_clip_equals_clip_throughput(self, adj, monkeypatch, eta, lam_scale):
+        """The clipped Λ_q the sweeps read equals ``clip_throughput`` of
+        (σ, Λ̂) bit for bit, after the absorb and after every sweep."""
+        sweep = TxAlloState.sweep
+        calls = []
+
+        def checked(self, nodes, *, join_only=False):
+            delta = sweep(self, nodes, join_only=join_only)
+            want = clip_throughput(self.sigma, self.lam_hat, self.lam)
+            np.testing.assert_array_equal(np.array(self._lam_q), want)
+            calls.append(join_only)
+            return delta
+
+        monkeypatch.setattr(TxAlloState, "sweep", checked)
+        g_txallo(adj, k=5, eta=eta, lam=lam_scale * adj.total_weight / 5)
+        assert calls[0] and not any(calls[1:]) and len(calls) > 2
 
     def test_move_noop_same_community(self, tiny_adj):
         state = TxAlloState(tiny_adj, np.zeros(tiny_adj.n, dtype=int), 2, eta=2.0, lam=4.0)
@@ -113,8 +132,8 @@ class TestGainMath:
 
 
 class TestBestMoveFastPath:
-    """The pure-Python `best_move` must make bit-identical decisions to
-    the numpy reference path (candidates + Eq. 8), also after moves."""
+    """`sweep`'s pure-Python best move must make bit-identical decisions
+    to the numpy reference path (candidates + Eq. 8), also after moves."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("eta,lam_scale", [(2.0, 1.0), (6.0, 0.3)])
@@ -126,37 +145,37 @@ class TestBestMoveFastPath:
         state = TxAlloState(adj, labels, k, eta=eta, lam=lam)
         for v in rng.integers(0, adj.n, 100):
             v = int(v)
+            q, gain = int(state.labels[v]), 0.0  # empty ℂ_v or no positive gain: stay
             cands, w_vq = state.neighbor_communities(v)
-            fast = state.best_move(v)
-            if cands.size == 0:
-                assert fast is None
-                continue
-            gains = state.move_gain(v, cands, w_vq)
-            j = int(np.argmax(gains))
-            q, gain, w, w_own = fast
-            assert q == int(cands[j])
-            assert gain == pytest.approx(float(gains[j]), abs=1e-10)
-            assert w == pytest.approx(float(w_vq[j]))
-            assert w_own == pytest.approx(state.own_weight(v))
-            if gain > 0.0:
-                state.move(v, q, w, w_own)
+            if cands.size:
+                gains = state.move_gain(v, cands, w_vq)
+                j = int(np.argmax(gains))
+                if gains[j] > 0.0:
+                    q, gain = int(cands[j]), float(gains[j])
+            delta = state.sweep([v])
+            assert state.labels[v] == q
+            assert delta == pytest.approx(gain, abs=1e-10)
+            _assert_state_consistent(state)
 
     def test_join_only_matches_join_gain(self, adj):
+        """Also from an all-unassigned start, where the empty shards tie
+        and the first-max rule must pick the smallest label."""
         k = 4
-        labels = np.full(adj.n, -1)
-        labels[: adj.n // 3] = np.arange(adj.n // 3) % k
-        state = TxAlloState(adj, labels, k, eta=2.0, lam=adj.total_weight / k)
-        rng = np.random.default_rng(2)
-        for v in np.nonzero(labels < 0)[0][:50]:
-            v = int(v)
-            cands, w_vq = state.neighbor_communities(v)
-            if cands.size == 0:
-                cands, w_vq = np.arange(k), np.zeros(k)
-            gains = state.join_gain(v, cands, w_vq)
-            j = int(np.argmax(gains))
-            q, gain, w, _ = state.best_move(v, join_only=True)
-            assert q == int(cands[j])
-            assert gain == pytest.approx(float(gains[j]), abs=1e-10)
+        for n_assigned in (adj.n // 3, 0):
+            labels = np.full(adj.n, -1)
+            labels[:n_assigned] = np.arange(n_assigned) % k
+            state = TxAlloState(adj, labels, k, eta=2.0, lam=adj.total_weight / k)
+            for v in np.nonzero(labels < 0)[0][:50]:
+                v = int(v)
+                cands, w_vq = state.neighbor_communities(v)
+                if cands.size == 0:
+                    cands, w_vq = np.arange(k), np.zeros(k)
+                gains = state.join_gain(v, cands, w_vq)
+                j = int(np.argmax(gains))
+                delta = state.sweep([v], join_only=True)
+                assert state.labels[v] == int(cands[j])
+                assert delta == pytest.approx(float(gains[j]), abs=1e-10)
+                _assert_state_consistent(state)
 
 
 class TestNeighborCommunities:
