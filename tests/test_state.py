@@ -5,9 +5,13 @@ incrementally maintained (σ, Λ̂) must equal the from-scratch
 ``community_state`` recomputation — this pins the join/leave delta
 algebra of §V-B exactly.
 """
+import hashlib
+
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.baselines import hash_alloc
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.graphlevel import community_state
 from repro.metrics.formulas import clip_throughput
@@ -176,6 +180,52 @@ class TestBestMoveFastPath:
                 assert state.labels[v] == int(cands[j])
                 assert delta == pytest.approx(float(gains[j]), abs=1e-10)
                 _assert_state_consistent(state)
+
+
+# 24 transactions over accounts 0..9. Its shards hold a few units of Λ̂,
+# so a regrouped sum rounds differently far more often than on SMALL,
+# whose Λ̂_q are in the hundreds.
+ROUNDING_STREAM = [
+    [0], [8], [2], [6], [4], [1, 7], [4, 8], [1, 8], [3, 5, 7], [0, 6, 8, 9],
+    [3, 6, 9], [1, 2, 6, 7], [7], [0, 5, 7, 9], [5, 8], [5], [0, 2, 3], [1, 4, 5],
+    [9], [0, 4], [2, 3, 7], [5, 8], [0, 3, 4, 7], [2, 3, 6],
+]
+
+
+def _sweep_digest(adj, k: int) -> str:
+    """SHA-256 of the ΔΛ of an absorb and three full sweeps and of the
+    final σ, Λ̂ and labels, from a hash start with every 7th node
+    unassigned, at η = 6 and λ = 0.3·|T|/k, where the clip is live."""
+    labels = hash_alloc(adj.nodes, k)
+    labels[6::7] = -1
+    lam = 0.3 * adj.total_weight / k
+    state = TxAlloState(adj, labels, k, eta=6.0, lam=lam)
+    deltas = [state.sweep(np.nonzero(labels < 0)[0].tolist(), join_only=True)]
+    deltas += [state.sweep(list(range(adj.n))) for _ in range(3)]
+    assert (state.sigma > lam).any()
+    h = hashlib.sha256(np.array(deltas).tobytes())
+    for a in (state.sigma, state.lam_hat, state.labels):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSweepBits:
+    """Bit pins of :meth:`TxAlloState.sweep`'s arithmetic: regrouping any
+    of its σ or Λ̂ sums moves a bit of one of these digests."""
+
+    def test_pinned_small(self, adj):
+        assert _sweep_digest(adj, 5) == (
+            "4f66a750e1a2bd7e5f3356b6f9193d2d32d0b51511d36216537f7054c99c6623"
+        )
+
+    def test_pinned_rounding_stream(self):
+        tx = pd.DataFrame(
+            {"tx_id": range(24), "block": 0, "accounts": ROUNDING_STREAM}
+        )
+        adj = adjacency_from_pandas(build_tx_graph_pandas(tx))
+        assert _sweep_digest(adj, 3) == (
+            "d560b2ab360fd1576702934bcc87b1ee7ae9f9d24f696324a38aba8782a22311"
+        )
 
 
 class TestNeighborCommunities:
