@@ -16,28 +16,6 @@ import pandas as pd
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def make_session(app: str):
-    """A local SparkSession matching the conftest fixture's settings."""
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
-
-
 def base_parser(desc: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=desc)
     ap.add_argument("--sf", type=float, default=0.1, help="scale factor (0.1 ~ 200k txs)")
@@ -55,16 +33,18 @@ def case_parser(desc: str) -> argparse.ArgumentParser:
     return ap
 
 
-def load_workload(spark, sf: float, seed: int):
-    """(tx_df, tx_pdf, adj) for the Ethereum-like stream at ``sf``; the
-    stream is generated once and handed to Spark through Arrow."""
-    from repro.chain import EthParams, eth_transactions_pandas, spark_transactions
-    from repro.graph import build_tx_graph, to_adjacency
+def load_workload(app: str, sf: float, seed: int):
+    """(spark, tx_df, tx_pdf, adj) for the Ethereum-like stream at ``sf``:
+    a :func:`repro.spark.session` named ``app``, and the stream generated
+    once and handed to Spark through Arrow."""
+    from repro.chain import EthParams, eth_transactions_pandas
+    from repro.spark import build_tx_graph, session, spark_transactions, to_adjacency
 
+    spark = session(app)
     tx_pdf = eth_transactions_pandas(EthParams(sf=sf, seed=seed))
     tx_df = spark_transactions(spark, tx_pdf).cache()
     adj = to_adjacency(build_tx_graph(tx_df))
-    return tx_df, tx_pdf, adj
+    return spark, tx_df, tx_pdf, adj
 
 
 def run_adaptive(args, tau2_steps) -> pd.DataFrame:

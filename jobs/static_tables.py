@@ -8,14 +8,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from _common import base_parser, load_workload, make_session, print_markdown
+from _common import base_parser, load_workload, print_markdown
 
 
 def run_sweep(args) -> pd.DataFrame:
-    spark = make_session("txallo-static-tables")
-    from repro.sim.runner import sweep
+    from repro.spark import sweep
 
-    tx_df, tx_pdf, adj = load_workload(spark, args.sf, args.seed)
+    spark, tx_df, tx_pdf, adj = load_workload("txallo-static-tables", args.sf, args.seed)
     return sweep(spark, tx_df, adj, ks=args.ks, etas=args.etas, tx_pdf=tx_pdf)
 
 

@@ -50,7 +50,7 @@ class SchedulerResult:
 
     def stats(self) -> Stats:
         """The evaluation state of ``counts``, the triple
-        ``repro.metrics.blockchain.collect_stats`` gives per allocation."""
+        ``repro.spark.collect_stats`` gives per allocation."""
         return shard_stats(*self.counts)
 
 

@@ -1,7 +1,2 @@
 """Blockchain substrate: synthetic Ethereum-like transaction stream."""
-from repro.chain.ethdata import (  # noqa: F401
-    EthParams,
-    eth_transactions_pandas,
-    spark_transactions,
-    tx_incidence,
-)
+from repro.chain.ethdata import EthParams, eth_transactions_pandas, tx_incidence  # noqa: F401

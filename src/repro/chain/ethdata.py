@@ -31,21 +31,10 @@ from itertools import chain
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 _N_TX_PER_SF = 2_000_000
 _N_ACCT_PER_SF = 300_000
 _N_BLOCK_PER_SF = 2_000
-
-TX_SCHEMA = T.StructType(
-    [
-        T.StructField("tx_id", T.LongType(), nullable=False),
-        T.StructField("block", T.LongType(), nullable=False),
-        T.StructField("accounts", T.ArrayType(T.LongType(), False), nullable=False),
-    ]
-)
-
 
 def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """The transaction→account incidence of a stream, as ``(offsets, accounts)``,
@@ -269,9 +258,3 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
             "accounts": accounts,
         }
     )
-
-
-def spark_transactions(spark: SparkSession, tx_pdf: pd.DataFrame) -> DataFrame:
-    """A pandas transaction frame as a Spark DataFrame of ``TX_SCHEMA``,
-    converted through Arrow when the session enables it."""
-    return spark.createDataFrame(tx_pdf, schema=TX_SCHEMA)

@@ -1,6 +1,5 @@
 """Transaction-graph substrate: edge counts, their fold, CSR adjacency."""
 from repro.graph.adjacency import Adjacency, adjacency_from_pandas  # noqa: F401
-from repro.graph.build import build_tx_graph, collect_tx_graph, to_adjacency  # noqa: F401
 from repro.graph.build_pandas import (  # noqa: F401
     build_tx_graph_pandas,
     count_tx_edges,

@@ -12,7 +12,7 @@ Integer counts add exactly, so a table merged step by step
 the order of its rows. :func:`fold_tx_counts` is the only place weights
 are made: per pair, in ascending ``n``,
 ``w = Σ_n float(2·c_n) / float(n·(n−1))``, or ``float(c_1)`` for the
-self-loop. The Spark builder (:func:`repro.graph.build.build_tx_graph`)
+self-loop. The Spark builder (:func:`repro.spark.build_tx_graph`)
 counts the same keys and is folded by the same function, so both builders
 give the same weights bit for bit at any partition count.
 
@@ -107,5 +107,5 @@ def fold_tx_counts(src, dst, n, count) -> pd.DataFrame:
 def build_tx_graph_pandas(tx_pdf: pd.DataFrame) -> pd.DataFrame:
     """Aggregated weighted edges ``(src, dst, weight)`` with ``src <= dst``:
     the fold of the stream's count table, equal bit for bit to the folded
-    Spark counts of :func:`repro.graph.build.build_tx_graph`."""
+    Spark counts of :func:`repro.spark.build_tx_graph`."""
     return fold_tx_counts(*count_tx_edges(tx_pdf))

@@ -1,16 +1,15 @@
-"""Transaction-level metrics of an allocation, as Spark dataflow (§III-A/B).
+"""Transaction-level metrics of an allocation (§III-A/B): the fold and
+the rollup that every evaluator shares.
 
-Given the transaction stream and an account→shard allocation, computes for
-every transaction the set of involved shards (``μ(Tx)``) and aggregates per
-shard: intra/cross transaction counts, workload ``σ_i = |T_i^I| + η|T_i^C|``,
-capacity-free throughput ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``, folded on the driver
-from integer per-(shard, μ) counts. The scalar rollups
-(γ, ρ, Λ, ζ, worst-case latency) come from :mod:`repro.metrics.formulas`.
-
-All heavy steps are Catalyst DataFrame ops (explode → join → two-level
-aggregation) over every allocation of a sweep at once; only the
-per-(alloc, shard, μ) counts (at most k·max μ rows per allocation) are
-collected.
+Given the integer counts of transactions per (shard, μ) of an allocation,
+with ``μ(Tx)`` the number of shards a transaction involves,
+:func:`shard_stats` folds them per shard into intra/cross transaction
+counts and the capacity-free throughput ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``;
+:func:`rollup` adds the workload ``σ_i = |T_i^I| + η|T_i^C|`` and the
+scalar metrics (γ, ρ, Λ, ζ, worst-case latency) from
+:mod:`repro.metrics.formulas`. The counts come from the Spark query
+(:func:`repro.spark.collect_stats`), the pandas evaluator or the Shard
+Scheduler.
 """
 from __future__ import annotations
 
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.metrics import formulas
 
@@ -46,21 +43,6 @@ class AllocationMetrics:
     def norm_sigmas(self) -> np.ndarray:
         """σ_i/λ — Fig. 4's y-axis."""
         return self.sigmas / self.lam
-
-
-def shard_mu_counts(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
-    """Transactions per ``(alloc, shard, mu)`` for every allocation of a
-    stacked ``(alloc, account, shard)`` frame, in one query: a transaction
-    of span μ counts once in each of its μ shards. ``alloc_df`` must cover
-    every account of ``tx_df`` (inner join; ``sweep`` checks the count).
-    """
-    exploded = tx_df.select("tx_id", F.explode("accounts").alias("account"))
-    joined = exploded.join(alloc_df, on="account", how="inner")
-    spans = joined.groupBy("alloc", "tx_id").agg(F.collect_set("shard").alias("shards"))
-    per_shard = spans.select(
-        "alloc", F.size("shards").alias("mu"), F.explode("shards").alias("shard")
-    )
-    return per_shard.groupBy("alloc", "shard", "mu").count()
 
 
 def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> Stats:
@@ -103,20 +85,6 @@ def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> Stats:
     return n_txs, n_txs - int(txs_mu[0]), frame
 
 
-def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> dict[int, Stats]:
-    """One Spark action: :func:`shard_mu_counts` collected by one
-    ``toPandas`` and folded per allocation by :func:`shard_stats`, giving
-    ``{alloc: (n_txs, n_cross, per-shard stats frame)}``; an allocation
-    that places no account of the stream has no entry. η only scales the
-    cross-transaction workload in the rollup, so a sweep over η reuses
-    this result (see sim.runner)."""
-    counts = shard_mu_counts(tx_df, alloc_df).toPandas()
-    return {
-        int(alloc): shard_stats(*(rows[c].to_numpy(np.int64) for c in ("shard", "mu", "count")))
-        for alloc, rows in counts.groupby("alloc")
-    }
-
-
 def rollup(
     n_txs: int,
     n_cross: int,
@@ -127,8 +95,8 @@ def rollup(
     lam: float | None = None,
 ) -> AllocationMetrics:
     """Finish an evaluation for one η from the η-independent state that
-    :func:`shard_stats` produces (through :func:`collect_stats`, the
-    pandas evaluator or the Shard Scheduler).
+    :func:`shard_stats` produces (through :func:`repro.spark.collect_stats`,
+    the pandas evaluator or the Shard Scheduler).
 
     ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1).
     """
@@ -158,14 +126,3 @@ def rollup(
         sigmas=sigmas,
     )
 
-
-def evaluate(
-    tx_df: DataFrame, alloc_df: DataFrame, *, k: int, eta: float, lam: float | None = None
-) -> AllocationMetrics:
-    """Evaluate the one allocation of ``alloc_df`` on a stream (Spark path).
-
-    ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1), under
-    which a perfectly balanced all-intra allocation has Λ/λ = k.
-    """
-    (stats,) = collect_stats(tx_df, alloc_df).values()
-    return rollup(*stats, k=k, eta=eta, lam=lam)

@@ -1,5 +1,5 @@
-"""Pandas mirror of :mod:`repro.metrics.blockchain`, vectorised over the
-stream's transaction→account incidence array
+"""Pandas mirror of the Spark evaluation query (:mod:`repro.spark`),
+vectorised over the stream's transaction→account incidence array
 (:func:`repro.chain.ethdata.tx_incidence`).
 
 Used by the per-step adaptive simulation (Figs. 9-10) where the evaluation

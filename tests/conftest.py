@@ -30,7 +30,7 @@ def adj(tx_pdf):
 
 @pytest.fixture(scope="session")
 def tx_df(spark, tx_pdf):
-    from repro.chain import spark_transactions
+    from repro.spark import spark_transactions
 
     df = spark_transactions(spark, tx_pdf).cache()
     df.count()

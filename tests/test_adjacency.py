@@ -110,7 +110,7 @@ class TestGeneratedInvariants:
         assert adj.total_weight == pytest.approx(len(tx_pdf))
 
     def test_spark_collect_equals_pandas_build(self, spark, tx_df, adj):
-        from repro.graph import build_tx_graph, to_adjacency
+        from repro.spark import build_tx_graph, to_adjacency
 
         adj2 = to_adjacency(build_tx_graph(tx_df))
         np.testing.assert_array_equal(adj.nodes, adj2.nodes)

@@ -9,7 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.graph import adjacency_from_pandas, build_tx_graph, build_tx_graph_pandas, to_adjacency
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
+from repro.spark import build_tx_graph, to_adjacency
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
 

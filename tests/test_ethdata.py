@@ -5,12 +5,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.chain import EthParams, eth_transactions_pandas, spark_transactions, tx_incidence
+from repro.chain import EthParams, eth_transactions_pandas, tx_incidence
 from repro.chain.ethdata import (
     _activity_weights,
     _community_assignment,
     _relationship_universe,
 )
+from repro.spark import spark_transactions
 
 
 @pytest.fixture(scope="module")

@@ -4,16 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
-from repro.chain.ethdata import TX_SCHEMA
-from repro.graph import (
-    adjacency_from_pandas,
-    build_tx_graph,
-    build_tx_graph_pandas,
-    collect_tx_graph,
-    count_tx_edges,
-    merge_tx_counts,
-)
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas, count_tx_edges, merge_tx_counts
 from repro.oracle import assert_equivalent
+from repro.spark import TX_SCHEMA, build_tx_graph, collect_tx_graph
 from tests.conftest import tiny_tx_pdf
 
 

@@ -3,8 +3,8 @@ on the synthetic workload (these are the 'shape' assertions of T1-T6)."""
 import numpy as np
 import pytest
 
-from repro.metrics.blockchain import evaluate
-from repro.sim.runner import alloc_to_df, allocate, sweep
+from repro.sim.runner import allocate
+from repro.spark import alloc_to_df, evaluate, sweep
 
 
 @pytest.fixture(scope="module")

@@ -8,17 +8,10 @@ import pandas as pd
 import pytest
 
 from repro.baselines import hash_alloc
-from repro.chain.ethdata import TX_SCHEMA
-from repro.metrics.blockchain import (
-    collect_stats,
-    evaluate,
-    rollup,
-    shard_mu_counts,
-    shard_stats,
-)
+from repro.metrics.blockchain import rollup, shard_stats
 from repro.metrics.pandas_eval import evaluate_pandas
 from repro.oracle import assert_equivalent
-from repro.sim.runner import alloc_to_df
+from repro.spark import TX_SCHEMA, alloc_to_df, collect_stats, evaluate, shard_mu_counts
 from tests.conftest import tiny_tx_pdf
 
 TINY_ALLOC = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}

@@ -4,8 +4,9 @@ import pytest
 
 from repro.baselines import hash_alloc
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.metrics.blockchain import evaluate, rollup
-from repro.sim.runner import METHODS, AllocResult, alloc_to_df, allocate, sweep
+from repro.metrics.blockchain import rollup
+from repro.sim.runner import METHODS, AllocResult, allocate
+from repro.spark import alloc_to_df, evaluate, sweep
 
 
 class TestAllocate:
