@@ -15,7 +15,7 @@ features the evaluation depends on (paper Fig. 1):
   with globally scattered partners — the paper calls this account out as
   the main challenge for workload balance (Figs. 1 and 4);
 - **planted community structure** — non-hub relationships stay inside a
-  latent account community with probability ``p_intra``;
+  latent account community with probability ``P_INTRA``;
 - **self-loop transactions** (§V-B motivates handling them explicitly);
 - **multi-input/output transactions** with ``|A_Tx| > 2``;
 - **block-sequenced chronology** so the adaptive experiments (Figs. 9-10)
@@ -35,6 +35,16 @@ import pandas as pd
 _N_TX_PER_SF = 2_000_000
 _N_ACCT_PER_SF = 300_000
 _N_BLOCK_PER_SF = 2_000
+
+# The stream's shape, fixed to Fig. 1's.
+HUB_SHARE = 0.11  # fraction of txs touching the hyperactive hub
+ACTIVITY_ALPHA = 1.05  # zipf exponent of account activity
+REL_ALPHA = 0.85  # zipf exponent of relationship popularity
+RELS_PER_ACCOUNT = 2.5  # relationship-universe size / n_accounts
+P_INTRA = 0.95  # prob. a non-hub relationship stays in-community
+P_SELF = 0.01  # prob. of a self-loop tx
+P_MULTI = 0.03  # prob. of a multi-account (contract-like) tx
+ACCOUNTS_PER_COMMUNITY = 150
 
 def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """The transaction→account incidence of a stream, as ``(offsets, accounts)``,
@@ -71,18 +81,11 @@ def _account_sets(owner: np.ndarray, flat: np.ndarray, n: int) -> tuple[np.ndarr
 
 @dataclass(frozen=True)
 class EthParams:
-    """Tunables for the synthetic stream; defaults target Fig. 1's shape."""
+    """Scale factor and seed of the synthetic stream; its shape is the
+    module constants above."""
 
     sf: float = 0.01
     seed: int = 7
-    hub_share: float = 0.11  # fraction of txs touching the hyperactive hub
-    activity_alpha: float = 1.05  # zipf exponent of account activity
-    rel_alpha: float = 0.85  # zipf exponent of relationship popularity
-    rels_per_account: float = 2.5  # relationship-universe size / n_accounts
-    p_intra: float = 0.95  # prob. a non-hub relationship stays in-community
-    p_self: float = 0.01  # prob. of a self-loop tx
-    p_multi: float = 0.03  # prob. of a multi-account (contract-like) tx
-    accounts_per_community: int = 150
 
     @property
     def n_txs(self) -> int:
@@ -98,11 +101,11 @@ class EthParams:
 
     @property
     def n_communities(self) -> int:
-        return max(2, self.n_accounts // self.accounts_per_community)
+        return max(2, self.n_accounts // ACCOUNTS_PER_COMMUNITY)
 
     @property
     def n_relationships(self) -> int:
-        return max(4, int(self.rels_per_account * self.n_accounts))
+        return max(4, int(RELS_PER_ACCOUNT * self.n_accounts))
 
 
 def _community_assignment(p: EthParams) -> np.ndarray:
@@ -136,7 +139,7 @@ def _activity_weights(p: EthParams) -> np.ndarray:
     permutation of the ranks, so activity is independent of account id
     (and therefore of community membership). Account 0 keeps rank 0 —
     it is the hub whose tx share is pinned later."""
-    w = 1.0 / np.arange(1, p.n_accounts + 1) ** p.activity_alpha
+    w = 1.0 / np.arange(1, p.n_accounts + 1) ** ACTIVITY_ALPHA
     g = np.random.default_rng(p.seed + 2)
     perm = np.concatenate([[0], 1 + g.permutation(p.n_accounts - 1)])
     out = np.empty(p.n_accounts)
@@ -144,19 +147,37 @@ def _activity_weights(p: EthParams) -> np.ndarray:
     return out / out.sum()
 
 
+def _community_members(
+    comm_of: np.ndarray, act: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per community ``c``: its accounts, ascending, and their activity
+    weights normalised to sum 1 (the in-community sampling law)."""
+    members = [np.nonzero(comm_of == c)[0] for c in range(int(comm_of.max()) + 1)]
+    member_w = []
+    for m in members:
+        wc = act[m]
+        member_w.append(wc / wc.sum())
+    return members, member_w
+
+
 def _relationship_universe(
-    p: EthParams, g: np.random.Generator, comm_of: np.ndarray, act: np.ndarray
+    p: EthParams,
+    g: np.random.Generator,
+    comm_of: np.ndarray,
+    act: np.ndarray,
+    members: list[np.ndarray],
+    member_w: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The persistent (src, dst) pair universe and its tx-popularity, given
-    the :func:`_community_assignment` and :func:`_activity_weights` of ``p``.
+    the :func:`_community_assignment`, :func:`_activity_weights` and
+    :func:`_community_members` of ``p``.
 
-    Non-hub sources pick an in-community destination with prob ``p_intra``
+    Non-hub sources pick an in-community destination with prob ``P_INTRA``
     (activity-weighted) and a global one otherwise. The hub's
     relationships are always global (an exchange serves everyone). The
     popularity of hub-incident relationships is renormalized so that
-    exactly ``hub_share`` of transactions touch the hub.
+    exactly ``HUB_SHARE`` of transactions touch the hub.
     """
-    n_comm = int(comm_of.max()) + 1
     R = p.n_relationships
 
     src = g.choice(p.n_accounts, size=R, p=act)
@@ -166,65 +187,59 @@ def _relationship_universe(
     src[:n_hub_rel] = 0
 
     dst = np.empty(R, dtype=np.int64)
-    intra = (g.random(R) < p.p_intra) & (src != 0)
+    intra = (g.random(R) < P_INTRA) & (src != 0)
     idx_glob = np.nonzero(~intra)[0]
     dst[idx_glob] = g.choice(p.n_accounts, size=idx_glob.size, p=act)
 
-    members = [np.nonzero(comm_of == c)[0] for c in range(n_comm)]
-    member_w = []
-    for c in range(n_comm):
-        wc = act[members[c]]
-        member_w.append(wc / wc.sum())
     src_comm = comm_of[src]
-    for c in range(n_comm):
+    for c, (m, w) in enumerate(zip(members, member_w)):
         idx = np.nonzero(intra & (src_comm == c))[0]
         if idx.size:
-            dst[idx] = g.choice(members[c], size=idx.size, p=member_w[c])
+            dst[idx] = g.choice(m, size=idx.size, p=w)
 
     # A relationship is between two *distinct* accounts (self-transfers
-    # are generated separately via p_self); nudge collisions off-diagonal
+    # are generated separately via P_SELF); nudge collisions off-diagonal
     # so e.g. a popular (hub, hub) pair cannot distort the intra mass.
     coll = dst == src
     dst[coll] = (dst[coll] + 1) % p.n_accounts
 
     # Relationship popularity: zipf over a deterministic shuffle so that
     # popularity is independent of construction order.
-    pop = 1.0 / np.arange(1, R + 1) ** p.rel_alpha
+    pop = 1.0 / np.arange(1, R + 1) ** REL_ALPHA
     pop = pop[g.permutation(R)]
     pop /= pop.sum()
 
     hub_mask = (src == 0) | (dst == 0)
     hub_pop = pop[hub_mask].sum()
     if 0.0 < hub_pop < 1.0:
-        pop[hub_mask] *= p.hub_share / hub_pop
-        pop[~hub_mask] *= (1.0 - p.hub_share) / (1.0 - hub_pop)
+        pop[hub_mask] *= HUB_SHARE / hub_pop
+        pop[~hub_mask] *= (1.0 - HUB_SHARE) / (1.0 - hub_pop)
     return src, dst, pop
 
 
-def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFrame:
+def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
     """Generate the transaction stream as a pandas DataFrame.
 
     Columns: ``tx_id`` (int64, == chronological order), ``block`` (int64,
     non-decreasing), ``accounts`` (list[int64] — the deduplicated,
     sorted account set A_Tx of the transaction).
     """
-    if params is not None and kw:
-        raise TypeError("pass either an EthParams or keyword overrides, not both")
-    p = params or EthParams(**kw)
+    p = params or EthParams()
     g = np.random.default_rng(p.seed)
     n = p.n_txs
 
     comm_of = _community_assignment(p)
     act = _activity_weights(p)
-    rel_src, rel_dst, rel_pop = _relationship_universe(p, g, comm_of, act)
+    members, member_w = _community_members(comm_of, act)
+    rel_src, rel_dst, rel_pop = _relationship_universe(p, g, comm_of, act, members, member_w)
     r = g.choice(len(rel_pop), size=n, p=rel_pop)
     src = rel_src[r]
     dst = rel_dst[r].copy()
 
-    self_mask = g.random(n) < p.p_self
+    self_mask = g.random(n) < P_SELF
     dst[self_mask] = src[self_mask]
 
-    multi_mask = (g.random(n) < p.p_multi) & ~self_mask
+    multi_mask = (g.random(n) < P_MULTI) & ~self_mask
     n_extra = np.where(multi_mask, g.integers(1, 4, size=n), 0)
     # Extra accounts of a multi-account tx come from the source's own
     # community (contract calls inside one dapp), activity-weighted — this
@@ -234,10 +249,8 @@ def eth_transactions_pandas(params: EthParams | None = None, **kw) -> pd.DataFra
     if total_extra:
         src_comm_per_extra = np.repeat(comm_of[src], n_extra)
         for c in np.unique(src_comm_per_extra):
-            members_c = np.nonzero(comm_of == c)[0]
-            wc = act[members_c] / act[members_c].sum()
             sel = np.nonzero(src_comm_per_extra == c)[0]
-            extra_pool[sel] = g.choice(members_c, size=sel.size, p=wc)
+            extra_pool[sel] = g.choice(members[c], size=sel.size, p=member_w[c])
 
     # A_Tx = {src, dst} ∪ the tx's extras, as sorted deduplicated lists.
     tx = np.arange(n)

@@ -7,8 +7,10 @@ import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas, tx_incidence
 from repro.chain.ethdata import (
+    HUB_SHARE,
     _activity_weights,
     _community_assignment,
+    _community_members,
     _relationship_universe,
 )
 from repro.spark import spark_transactions
@@ -32,15 +34,6 @@ class TestParams:
         assert p.n_accounts >= 8
         assert p.n_blocks >= 1
         assert p.n_communities >= 2
-
-    def test_params_and_kwargs_mutually_exclusive(self):
-        with pytest.raises(TypeError):
-            eth_transactions_pandas(EthParams(sf=0.001), sf=0.001)
-
-    def test_kwargs_form(self):
-        a = eth_transactions_pandas(sf=0.001, seed=3)
-        b = eth_transactions_pandas(EthParams(sf=0.001, seed=3))
-        pd.testing.assert_frame_equal(a, b)
 
 
 class TestDeterminism:
@@ -116,11 +109,11 @@ class TestShape:
 
     def test_self_loop_rate(self, small):
         rate = sum(1 for lst in small["accounts"] if len(lst) == 1) / len(small)
-        assert 0.002 <= rate <= 0.03  # p_self = 1%
+        assert 0.002 <= rate <= 0.03  # P_SELF = 1%
 
     def test_multi_account_rate(self, small):
         rate = sum(1 for lst in small["accounts"] if len(lst) > 2) / len(small)
-        assert 0.005 <= rate <= 0.08  # p_multi = 3%
+        assert 0.005 <= rate <= 0.08  # P_MULTI = 3%
 
     def test_max_accounts_per_tx(self, small):
         assert max(len(lst) for lst in small["accounts"]) <= 5  # pair + up to 3 extras
@@ -137,6 +130,12 @@ class TestShape:
         }
         n_pairs_txs = sum(1 for lst in small["accounts"] if len(lst) == 2)
         assert len(pairs) < 0.6 * n_pairs_txs
+
+
+def _universe(p: EthParams):
+    comm, act = _community_assignment(p), _activity_weights(p)
+    g = np.random.default_rng(p.seed)
+    return _relationship_universe(p, g, comm, act, *_community_members(comm, act))
 
 
 class TestInternals:
@@ -160,21 +159,15 @@ class TestInternals:
 
     def test_relationship_universe_no_self_pairs(self):
         p = EthParams(sf=0.005)
-        g = np.random.default_rng(p.seed)
-        src, dst, pop = _relationship_universe(
-            p, g, _community_assignment(p), _activity_weights(p)
-        )
+        src, dst, pop = _universe(p)
         assert (src != dst).all()
         assert pop.sum() == pytest.approx(1.0)
 
     def test_relationship_hub_popularity_pinned(self):
         p = EthParams(sf=0.005)
-        g = np.random.default_rng(p.seed)
-        src, dst, pop = _relationship_universe(
-            p, g, _community_assignment(p), _activity_weights(p)
-        )
+        src, dst, pop = _universe(p)
         hub = (src == 0) | (dst == 0)
-        assert pop[hub].sum() == pytest.approx(p.hub_share)
+        assert pop[hub].sum() == pytest.approx(HUB_SHARE)
 
 
 class TestSparkWrapper:
