@@ -190,14 +190,11 @@ class TxAlloState:
         return delta
 
     # -- mutation ----------------------------------------------------------
-    def move(
-        self, v: int, q: int, w_vq: float | None = None, w_vp: float | None = None
-    ) -> None:
+    def move(self, v: int, q: int, w_vq: float, w_vp: float) -> None:
         """Move v to community q, updating σ, Λ̂ and the clipped Λ of the
         source and target only (Lemma 1 guarantees other communities are
-        unaffected). ``w_vq`` and ``w_vp``, v's weight into q and into its
-        current community, may be passed in (as :meth:`sweep` does) to
-        skip recomputing them."""
+        unaffected). ``w_vq`` and ``w_vp`` are v's weights into q and into
+        its current community (unused while v is unassigned)."""
         p = self._labels_l[v]
         if p == q:
             return
@@ -206,14 +203,9 @@ class TxAlloState:
         s_v = self._s_l[v]
         w_vv = self._self_l[v]
         if p >= 0:
-            if w_vp is None:
-                w_vp = self.own_weight(v)
             sig[p] -= w_vv + eta * (s_v - w_vp) + (1.0 - eta) * w_vp
             lh[p] -= w_vv + s_v / 2.0
             lam_q[p] = lh[p] if sig[p] <= lam else lam / sig[p] * lh[p]
-        if w_vq is None:
-            nbr, w = self.adj.neighbors(v)
-            w_vq = float(w[self.labels[nbr] == q].sum())
         sig[q] += w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
         lh[q] += w_vv + s_v / 2.0
         lam_q[q] = lh[q] if sig[q] <= lam else lam / sig[q] * lh[q]

@@ -25,6 +25,13 @@ def tiny_adj():
     return adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))
 
 
+def _move(state: TxAlloState, v: int, q: int) -> None:
+    """:meth:`TxAlloState.move` with v's weights into ``q`` and into its own
+    community from the numpy oracle."""
+    cands, w = state.neighbor_communities(v)
+    state.move(v, q, float(w[cands == q].sum()), state.own_weight(v))
+
+
 def _assert_state_consistent(state: TxAlloState) -> None:
     sigma, lam_hat = community_state(state.adj, state.labels, state.k, eta=state.eta)
     np.testing.assert_allclose(state.sigma, sigma, atol=1e-9)
@@ -42,7 +49,7 @@ class TestIncrementalConsistency:
         for _ in range(50):
             v = int(rng.integers(0, adj.n))
             q = int(rng.integers(0, k))
-            state.move(v, q)
+            _move(state, v, q)
         _assert_state_consistent(state)
 
     def test_moves_from_unassigned(self, adj):
@@ -53,7 +60,7 @@ class TestIncrementalConsistency:
         rng = np.random.default_rng(3)
         unassigned = np.nonzero(state.labels < 0)[0]
         for v in unassigned[:50]:
-            state.move(int(v), int(rng.integers(0, k)))
+            _move(state, int(v), int(rng.integers(0, k)))
         _assert_state_consistent(state)
 
     @pytest.mark.parametrize("eta,lam_scale", [(2.0, 1.0), (6.0, 0.3)])
@@ -77,7 +84,7 @@ class TestIncrementalConsistency:
     def test_move_noop_same_community(self, tiny_adj):
         state = TxAlloState(tiny_adj, np.zeros(tiny_adj.n, dtype=int), 2, eta=2.0, lam=4.0)
         before = state.sigma.copy()
-        state.move(0, 0)
+        _move(state, 0, 0)
         np.testing.assert_array_equal(state.sigma, before)
 
 
@@ -99,7 +106,7 @@ class TestGainMath:
             gains = state.move_gain(v, cands, w_vq)
             before = state.throughput()
             j = int(rng.integers(0, len(cands)))
-            state.move(v, int(cands[j]), float(w_vq[j]))
+            state.move(v, int(cands[j]), float(w_vq[j]), state.own_weight(v))
             after = state.throughput()
             assert after - before == pytest.approx(float(gains[j]), abs=1e-8)
 
@@ -108,8 +115,8 @@ class TestGainMath:
             tiny_adj, np.array([0, 0, 0, 1, 1, 1]), 2, eta=2.0, lam=4.0
         )
         sig0, lh0 = state.sigma.copy(), state.lam_hat.copy()
-        state.move(0, 1)
-        state.move(0, 0)
+        _move(state, 0, 1)
+        _move(state, 0, 0)
         np.testing.assert_allclose(state.sigma, sig0, atol=1e-12)
         np.testing.assert_allclose(state.lam_hat, lh0, atol=1e-12)
 
@@ -123,7 +130,7 @@ class TestGainMath:
         q = (p + 1) % k
         sig_before = state.sigma.copy()
         lh_before = state.lam_hat.copy()
-        state.move(v, q)
+        _move(state, v, q)
         others = [j for j in range(k) if j not in (p, q)]
         np.testing.assert_array_equal(state.sigma[others], sig_before[others])
         np.testing.assert_array_equal(state.lam_hat[others], lh_before[others])
