@@ -38,12 +38,12 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 
 def _sweep_until_stable(
     indptr: list, indices: list, weights: list, deg: list, m2: float
-) -> tuple[np.ndarray, bool]:
-    """Run local-move sweeps on one level; returns (labels, any_move)."""
+) -> np.ndarray:
+    """Run local-move sweeps on one level; returns each node's label, the
+    index of the node whose community it joined."""
     n = len(indptr) - 1
     labels = list(range(n))
     comm_deg = list(deg)
-    any_move = False
     for _ in range(MAX_SWEEPS):
         moved = 0
         for v in range(n):
@@ -63,18 +63,19 @@ def _sweep_until_stable(
                 moved += 1
             else:
                 comm_deg[c_old] += dv
-        if moved:
-            any_move = True
-        else:
+        if not moved:
             break
-    return np.array(labels, dtype=np.int64), any_move
+    return np.array(labels, dtype=np.int64)
 
 
 def louvain(adj: Adjacency) -> np.ndarray:
     """Community labels (compact, 0-based) for every node of ``adj``.
 
     Deterministic; the number of communities is data-driven (typically
-    ≫ k for long-tailed transaction graphs, per the paper §V-B).
+    ≫ k for long-tailed transaction graphs, per the paper §V-B). Each
+    level numbers its communities in ascending order of their labels; a
+    node's final label is the community, at the last level, of the
+    supernode that holds it.
     """
     ev, eu, ew = adj.ev, adj.indices, adj.weights
     self_w = adj.self_w
@@ -87,16 +88,14 @@ def louvain(adj: Adjacency) -> np.ndarray:
         if m2 <= 0:
             break
         indptr, indices, weights = csr(nn, ev, eu, ew)
-        labels, any_move = _sweep_until_stable(
+        labels = _sweep_until_stable(
             indptr.tolist(), indices.tolist(), weights.tolist(), deg.tolist(), m2
         )
         # Communities become supernodes; intra edges fold into self-loops.
         uniq, node_map = np.unique(labels, return_inverse=True)
         ev, eu, ew, loop_w = contract(node_map, len(uniq), ev, eu, ew)
         self_w = np.bincount(node_map, weights=self_w, minlength=len(uniq)) + loop_w / 2.0
-        result = node_map[labels[result]]
-        if not any_move or len(self_w) == nn:
+        result = node_map[result]
+        if len(self_w) == nn:  # no node moved: a move never refills an emptied community
             break
-    # Compact final labels to 0..n_comm-1 preserving order of first use.
-    _, compact = np.unique(result, return_inverse=True)
-    return compact
+    return result

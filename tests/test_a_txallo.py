@@ -107,7 +107,7 @@ class TestATxAllo:
         adj_full, prev, hot, lam = self._setup(split_stream)
         labels = a_txallo(adj_full, prev, hot, k=6, eta=2.0, lam=lam)
         assert label_digest(labels) == (
-            "f98c8085b8c1e55598ee2014679e2435397e001ccf3d8a43450267e39a4f7cd6"
+            "061f2833b64d8ec80cf6d7ee1b3d5a84ec6f31667412dafcf16b364861954fbc"
         )
 
     def test_stale_mapping_rejected(self, split_stream):

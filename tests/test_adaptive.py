@@ -139,7 +139,7 @@ class TestIncrementalUpkeep:
             stream, k=4, eta=2.0, step_blocks=1, split=0.6, tau2_steps=(2,), include_pure_g=True
         )
         assert _frame_digest(df) == (
-            "c2e53c6e6c95d8a4f6d551f7be5a2fc6d9cd29a8191d236eb2e4529303a2d7d2"
+            "b67f1cdf597d5b9893e601e2cb6b40ddb474e3c87691c3586f3ff98b9059fb4c"
         )
 
 

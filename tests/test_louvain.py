@@ -1,11 +1,17 @@
 """Tests for the deterministic Louvain initializer."""
+import importlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graph import adjacency_from_pandas
+from repro.chain import EthParams, eth_transactions_pandas
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.louvain import louvain, modularity
 from tests.conftest import label_digest, two_cliques_edges
+
+# The package re-exports the function under the module's name.
+louvain_module = importlib.import_module("repro.louvain.louvain")
 
 
 def ring_of_cliques(n_cliques: int, size: int, bridge_w: float = 0.1) -> pd.DataFrame:
@@ -83,6 +89,32 @@ class TestProperties:
         assert label_digest(louvain(adj)) == (
             "21c43b615c3b01c9b62de7563f5f94deb35ee0d70791899935debb32599148e8"
         )
+
+
+class TestLevelComposition:
+    @pytest.mark.parametrize("sf", [0.005, 0.02])
+    def test_labels_compose_the_levels(self, monkeypatch, sf):
+        """A node's final community is its level-1 community's community at
+        level 2, and so on: record each level's local-move labels and
+        compose them here. At SF 0.02 some communities lose the node whose
+        index is their label, which a composition through that node's own
+        community misplaces."""
+        stream = eth_transactions_pandas(EthParams(sf=sf, seed=7))
+        adj = adjacency_from_pandas(build_tx_graph_pandas(stream))
+        sweep, levels = louvain_module._sweep_until_stable, []
+
+        def recording(*args):
+            labels = sweep(*args)
+            levels.append(labels)
+            return labels
+
+        monkeypatch.setattr(louvain_module, "_sweep_until_stable", recording)
+        got = louvain(adj)
+        want = np.arange(adj.n)
+        for labels in levels:
+            want = np.unique(labels, return_inverse=True)[1][want]
+        assert len(levels) > 1
+        np.testing.assert_array_equal(got, want)
 
 
 class TestModularityFunction:
