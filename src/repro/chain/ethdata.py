@@ -147,30 +147,19 @@ def _activity_weights(p: EthParams) -> np.ndarray:
     return out / out.sum()
 
 
-def _community_members(
-    comm_of: np.ndarray, act: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per community ``c``: its accounts, ascending, and their activity
-    weights normalised to sum 1 (the in-community sampling law)."""
-    members = [np.nonzero(comm_of == c)[0] for c in range(int(comm_of.max()) + 1)]
-    member_w = []
-    for m in members:
-        wc = act[m]
-        member_w.append(wc / wc.sum())
-    return members, member_w
+def _communities(comm_of: np.ndarray, act: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per community: its accounts, ascending, and their activity weights
+    normalised to sum 1 (the in-community sampling law)."""
+    members = np.split(np.argsort(comm_of, kind="stable"), np.cumsum(np.bincount(comm_of))[:-1])
+    return [(m, act[m] / act[m].sum()) for m in members]
 
 
 def _relationship_universe(
-    p: EthParams,
-    g: np.random.Generator,
-    comm_of: np.ndarray,
-    act: np.ndarray,
-    members: list[np.ndarray],
-    member_w: list[np.ndarray],
+    p: EthParams, g: np.random.Generator, comm_of: np.ndarray, act: np.ndarray, comms: list
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The persistent (src, dst) pair universe and its tx-popularity, given
     the :func:`_community_assignment`, :func:`_activity_weights` and
-    :func:`_community_members` of ``p``.
+    :func:`_communities` of ``p``.
 
     Non-hub sources pick an in-community destination with prob ``P_INTRA``
     (activity-weighted) and a global one otherwise. The hub's
@@ -192,7 +181,7 @@ def _relationship_universe(
     dst[idx_glob] = g.choice(p.n_accounts, size=idx_glob.size, p=act)
 
     src_comm = comm_of[src]
-    for c, (m, w) in enumerate(zip(members, member_w)):
+    for c, (m, w) in enumerate(comms):
         idx = np.nonzero(intra & (src_comm == c))[0]
         if idx.size:
             dst[idx] = g.choice(m, size=idx.size, p=w)
@@ -230,8 +219,8 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
 
     comm_of = _community_assignment(p)
     act = _activity_weights(p)
-    members, member_w = _community_members(comm_of, act)
-    rel_src, rel_dst, rel_pop = _relationship_universe(p, g, comm_of, act, members, member_w)
+    comms = _communities(comm_of, act)
+    rel_src, rel_dst, rel_pop = _relationship_universe(p, g, comm_of, act, comms)
     r = g.choice(len(rel_pop), size=n, p=rel_pop)
     src = rel_src[r]
     dst = rel_dst[r].copy()
@@ -250,7 +239,8 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
         src_comm_per_extra = np.repeat(comm_of[src], n_extra)
         for c in np.unique(src_comm_per_extra):
             sel = np.nonzero(src_comm_per_extra == c)[0]
-            extra_pool[sel] = g.choice(members[c], size=sel.size, p=member_w[c])
+            members, weights = comms[c]
+            extra_pool[sel] = g.choice(members, size=sel.size, p=weights)
 
     # A_Tx = {src, dst} ∪ the tx's extras, as sorted deduplicated lists.
     tx = np.arange(n)

@@ -1,15 +1,10 @@
-"""Transaction-level metrics of an allocation (§III-A/B): the fold and
-the rollup that every evaluator shares.
-
-Given the integer counts of transactions per (shard, μ) of an allocation,
-with ``μ(Tx)`` the number of shards a transaction involves,
-:func:`shard_stats` folds them per shard into intra/cross transaction
-counts and the capacity-free throughput ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``;
-:func:`rollup` adds the workload ``σ_i = |T_i^I| + η|T_i^C|`` and the
-scalar metrics (γ, ρ, Λ, ζ, worst-case latency) from
-:mod:`repro.metrics.formulas`. The counts come from the Spark query
-(:func:`repro.spark.collect_stats`), the pandas evaluator or the Shard
-Scheduler.
+"""Transaction-level metrics of an allocation (§III-A/B), from its integer
+counts of transactions per (shard, μ), μ(Tx) being the number of shards a
+transaction involves: :func:`shard_stats` folds them per shard (intra and
+cross counts, ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``) and :func:`rollup` adds the
+workload ``σ_i = |T_i^I| + η|T_i^C|`` and the scalar metrics of
+:mod:`repro.metrics.formulas`. The Spark query, the pandas evaluator and
+the Shard Scheduler all end here.
 """
 from __future__ import annotations
 

@@ -1,12 +1,7 @@
-"""Method dispatch of the static experiments (T1-T6): one timed run of
-one of the four allocators.
-
-η-independent allocators (random, metis) need one run per k; η-aware
-allocators (``ETA_AWARE``: txallo, scheduler) are re-run per η, matching
-the paper's protocol where each point of Figs. 2-8 is a full run at that
-(k, η). The transaction-level ``scheduler`` returns its *streaming* shard
-statistics (see ``repro.baselines.shard_scheduler``) in place of a final
-map to evaluate. :func:`repro.spark.sweep` runs the grid.
+"""Method dispatch of the static experiments (T1-T6): one timed run of one
+of the four allocators. η-aware allocators (``ETA_AWARE``) are re-run per
+η, matching the paper's protocol where each point of Figs. 2-8 is a full
+run at that (k, η); :func:`repro.spark.sweep` runs the grid.
 """
 from __future__ import annotations
 

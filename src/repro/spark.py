@@ -1,15 +1,11 @@
-"""Every Spark call of the reproduction, and the one session factory.
+"""Every Spark call of the reproduction: the session factory, ingest, the
+graph count query, the evaluation query and the T1-T6 sweep.
 
 TxAllo is a deterministic, sequential allocator that each miner runs on
 its own (paper §IV-A), so Spark carries only the bulk dataflow around it
-(DESIGN.md §2, §5): ingest of the transaction stream, the graph count
-query, the evaluation query, and the T1-T6 harness that drives them. The
-rest of ``repro`` is the driver core and imports no pyspark.
-
-Both queries aggregate integers only, which no partitioning can reorder;
-the driver folds the collected counts into floats with the functions the
-pandas paths use (:func:`repro.graph.build_pandas.fold_tx_counts`,
-:func:`repro.metrics.blockchain.shard_stats`).
+(DESIGN.md §5), and the rest of ``repro`` imports no pyspark. Both
+queries aggregate integers, which no partitioning can reorder; the
+driver folds the counts with the functions the pandas paths use.
 """
 from __future__ import annotations
 
@@ -37,17 +33,13 @@ TX_SCHEMA = T.StructType(
 
 
 def session(app: str) -> SparkSession:
-    """A local SparkSession with the settings of every caller.
+    """The local SparkSession of the tests and the jobs.
 
-    Master and driver memory go into ``PYSPARK_SUBMIT_ARGS`` from
     ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
-    (default 8g; the test conftest sets its own first). The JVM reads
-    them at launch only, so a value already in ``PYSPARK_SUBMIT_ARGS``
-    wins. Shuffle partitions (``SPARK_SHUFFLE_PARTITIONS``, default 64),
-    Arrow and the broadcast threshold are per-session configs. Broadcast
-    joins are disabled so the graph build and metric joins exercise
-    shuffle paths; a query that wants a broadcast join sets the threshold
-    back for itself.
+    (default 8g; the test conftest sets its own) go into
+    ``PYSPARK_SUBMIT_ARGS``, which the JVM reads at launch only.
+    Broadcast joins are disabled so the graph build and metric joins
+    exercise shuffle paths.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -78,17 +70,9 @@ def spark_transactions(spark: SparkSession, tx_pdf: pd.DataFrame) -> DataFrame:
 
 # -- transaction graph (paper §III-C, Definition 2) ----------------------------
 #
-# A transaction touching the account set ``A_Tx`` becomes ``π = C(|A_Tx|, 2)``
-# one-to-one edges, each of weight ``1/π``, so the transaction's total edge
-# weight is exactly 1. A transaction with a single account (``|A_Tx| = 1``,
-# e.g. an Ethereum self-transfer used to cancel a pending tx) becomes a
-# self-loop of weight 1. Edges are undirected and stored canonically with
-# ``src <= dst``; parallel edges are summed (Def. 2's ``w_{v,u}``).
-#
-# Spark counts transactions per ``(src, dst, n)`` with ``n = |A_Tx|``, in
-# integers, which no partitioning can reorder; the driver folds the counts
-# into weights with :func:`repro.graph.build_pandas.fold_tx_counts`, the
-# same function the pandas builder uses.
+# Spark counts transactions per ``(src, dst, n)`` with ``n = |A_Tx|``; the
+# driver folds the counts into Definition 2's weights with
+# :func:`repro.graph.build_pandas.fold_tx_counts`, as the pandas builder does.
 
 
 def build_tx_graph(tx_df: DataFrame) -> DataFrame:
@@ -149,10 +133,9 @@ def to_adjacency(counts_df: DataFrame) -> Adjacency:
 
 # -- evaluation (paper §III-A/B) -----------------------------------------------
 #
-# Explode → join → two-level aggregation over every allocation of a sweep
-# at once; only the per-(alloc, shard, μ) counts (at most k·max μ rows per
-# allocation) are collected and folded by
-# :func:`repro.metrics.blockchain.shard_stats`.
+# Explode → join → two-level aggregation over every allocation of a sweep at
+# once; only the per-(alloc, shard, μ) counts (at most k·max μ rows per
+# allocation) are collected.
 
 
 def shard_mu_counts(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
@@ -198,11 +181,8 @@ def evaluate(
 
 # -- the T1-T6 harness -----------------------------------------------------------
 #
-# Every allocation of the (method × k × η) grid runs first, through
-# :func:`repro.sim.runner.allocate`; then one Spark job evaluates every
-# account-shard mapping. The transaction-level ``scheduler`` is scored on
-# its streaming statistics instead; both paths give the same
-# ``shard_stats`` triple.
+# The transaction-level ``scheduler`` is scored on its streaming statistics,
+# every account mapping by one Spark job; both give a ``shard_stats`` triple.
 
 
 def alloc_to_df(spark: SparkSession, adj: Adjacency, labels_list: list[np.ndarray]) -> DataFrame:

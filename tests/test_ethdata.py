@@ -10,7 +10,7 @@ from repro.chain.ethdata import (
     HUB_SHARE,
     _activity_weights,
     _community_assignment,
-    _community_members,
+    _communities,
     _relationship_universe,
 )
 from repro.spark import spark_transactions
@@ -135,7 +135,7 @@ class TestShape:
 def _universe(p: EthParams):
     comm, act = _community_assignment(p), _activity_weights(p)
     g = np.random.default_rng(p.seed)
-    return _relationship_universe(p, g, comm, act, *_community_members(comm, act))
+    return _relationship_universe(p, g, comm, act, _communities(comm, act))
 
 
 class TestInternals:
