@@ -46,6 +46,7 @@ P_SELF = 0.01  # prob. of a self-loop tx
 P_MULTI = 0.03  # prob. of a multi-account (contract-like) tx
 ACCOUNTS_PER_COMMUNITY = 150
 
+
 def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """The transaction→account incidence of a stream, as ``(offsets, accounts)``,
     which the pandas graph builder and evaluator read.
