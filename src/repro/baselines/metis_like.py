@@ -3,15 +3,18 @@
 The graph-based baselines (Fynn et al., BrokerChain) all use METIS as the
 backbone allocator (paper §II-C). METIS is a native C library that cannot
 be installed offline, so this module implements the same three-phase
-multilevel scheme from scratch:
+multilevel scheme from scratch. Like the library's, its matching and
+refinement loops are compiled C (``repro/kernels.c``); the contraction,
+the initial partition and the level bookkeeping are numpy.
 
 1. **Coarsening** — heavy-edge matching: visit nodes in ascending order,
    match each unmatched node with its heaviest unmatched neighbor;
    contract matched pairs and aggregate edges until the coarse graph is
    small (≤ max(8k, 64) nodes) or a level contracts nothing. There is no
    shrinkage-rate stop: on hub-centric graphs the ``max_vw`` guard lets
-   a level match only a few nodes, so coarsening runs 130 levels at
-   SF 0.1 and 399 at SF 0.5 (ROADMAP item 1).
+   a level match only a few nodes, so at k = 20 coarsening contracts 129
+   levels at SF 0.1 and 399 at SF 0.5 (130 and 400 matching rounds, the
+   last of which contracts nothing; ROADMAP item 1).
 2. **Initial partition** — greedy graph growing on the coarsest graph:
    parts grow one at a time from the heaviest unassigned node, absorbing
    the frontier node most strongly connected to the part until it reaches
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, contract, csr, label_weights
+from repro import kernels
+from repro.graph.adjacency import Adjacency, contract, csr
 
 IMBALANCE = 0.05  # part weight cap: (1 + IMBALANCE) x the even share
 REFINE_PASSES = 4  # refinement passes per level
@@ -45,29 +49,21 @@ def _heavy_edge_matching(
 ) -> np.ndarray:
     """Deterministic heavy-edge matching; returns coarse-node id per node.
 
-    A match is rejected when the combined vertex weight would exceed
-    ``max_vw`` — the standard METIS guard that keeps supernodes small
-    enough for the initial partition to balance (without it, hub-centric
-    transaction graphs collapse into one giant unsplittable supernode).
+    Nodes are visited in ascending order; each unmatched node is matched
+    with its first heaviest unmatched neighbour (``heavy_edge_matching`` in
+    ``repro/kernels.c``). A match is rejected when the combined vertex
+    weight would exceed ``max_vw`` — the standard METIS guard that keeps
+    supernodes small enough for the initial partition to balance (without
+    it, hub-centric transaction graphs collapse into one giant unsplittable
+    supernode). Coarse nodes are numbered in ascending order of each pair's
+    smaller node.
     """
-    indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
-    vw = vw.tolist()
-    n = len(indptr) - 1
-    match = [-1] * n
-    for v in range(n):
-        if match[v] >= 0:
-            continue
-        match[v] = v
-        best, best_w = -1, -np.inf
-        for i in range(indptr[v], indptr[v + 1]):
-            u = indices[i]
-            # strict > keeps the first (smallest-index) heaviest neighbour
-            if match[u] < 0 and vw[u] + vw[v] <= max_vw and weights[i] > best_w:
-                best, best_w = u, weights[i]
-        if best >= 0:
-            match[best] = v
-    _, compact = np.unique(match, return_inverse=True)
-    return compact
+    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    cmap = np.empty(n, dtype=np.int64)
+    kernels.lib.heavy_edge_matching(
+        n, *csr_ptrs, kernels.f64(vw, n), max_vw, kernels.i64(cmap, n)
+    )
+    return cmap
 
 
 def _greedy_partition(
@@ -135,30 +131,24 @@ def _refine(
     k: int,
     cap: float,
 ) -> np.ndarray:
-    """Boundary FM-style refinement: positive-gain moves under the cap."""
-    part_w = np.bincount(labels, weights=vw, minlength=k).tolist()
-    labels, vw = labels.tolist(), vw.tolist()
-    indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
-    for _ in range(REFINE_PASSES):
-        moved = 0
-        for v in range(len(labels)):
-            acc = label_weights(v, indptr, indices, weights, labels)
-            p = labels[v]
-            own = acc.pop(p, 0.0)
-            best, best_gain = -1, 1e-12
-            for q in sorted(acc):  # strict > keeps the smallest label on ties
-                gain = acc[q] - own
-                if gain > best_gain and part_w[q] + vw[v] <= cap:
-                    best, best_gain = q, gain
-            if best < 0:
-                continue
-            part_w[p] -= vw[v]
-            part_w[best] += vw[v]
-            labels[v] = best
-            moved += 1
-        if not moved:
-            break
-    return np.array(labels, dtype=np.int64)
+    """Boundary FM-style refinement: positive-gain moves under the cap.
+
+    Each node moves to the neighbouring part with the largest edge-cut
+    gain above 1e-12 (smallest part on ties) whose weight stays within
+    ``cap``; at most ``REFINE_PASSES`` passes, stopping after one with no
+    move (``refine`` in ``repro/kernels.c``).
+    """
+    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    labels = np.array(labels, dtype=np.int64)
+    part_w = np.bincount(labels, weights=vw, minlength=k)  # ValueError on labels < 0
+    if len(part_w) != k:
+        raise ValueError("part labels must be < k")
+    if kernels.lib.refine(
+        n, *csr_ptrs, kernels.f64(vw, n), k, cap, REFINE_PASSES,
+        kernels.i64(labels, n), kernels.f64(part_w, k),
+    ):
+        raise MemoryError("refine: out of memory")
+    return labels
 
 
 def metis_like(adj: Adjacency, k: int) -> np.ndarray:

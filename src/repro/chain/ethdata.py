@@ -64,20 +64,30 @@ def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
         tx_id = tx_pdf["tx_id"].iloc[int(np.argmin(lengths))]
         raise ValueError(f"transaction {tx_id} has no accounts")
     flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
-    return _account_sets(np.repeat(np.arange(len(lists)), lengths), flat, len(lists))
+    return owner_sets(np.repeat(np.arange(len(lists)), lengths), flat, len(lists))
 
 
-def _account_sets(owner: np.ndarray, flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, accounts)`` of ``n`` transactions from unordered
-    ``(owner, account)`` incidence rows: each transaction's accounts
-    sorted ascending and deduplicated."""
-    order = np.lexsort((flat, owner))
-    flat, owner = flat[order], owner[order]
-    keep = np.ones(len(flat), dtype=bool)
-    keep[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
+def owner_sets(owner: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, values)`` of ``n`` owners from unordered ``(owner, value)``
+    rows: owner ``i``'s values sorted ascending and deduplicated in
+    ``values[offsets[i]:offsets[i+1]]``. Owners are in ``[0, n)``.
+
+    The rows are ordered by a stable sort of the one int64 key
+    ``owner·span + (value - lo)``, with ``lo = min(0, min value)`` and
+    ``span = max value - lo + 1``, which orders them as
+    ``np.lexsort((values, owner))`` does; ``ValueError`` when the key would
+    overflow int64."""
+    lo = int(values.min(initial=0))
+    span = int(values.max(initial=0)) - lo + 1
+    if n * span > np.iinfo(np.int64).max:
+        raise ValueError(f"set keys need {n} owners x {span} values, more than an int64 holds")
+    order = np.argsort(owner.astype(np.int64) * span + (values - lo), kind="stable")
+    owner, values = owner[order], values[order]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) | (owner[1:] != owner[:-1])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[keep], minlength=n), out=offsets[1:])
-    return offsets, flat[keep]
+    return offsets, values[keep]
 
 
 @dataclass(frozen=True)
@@ -245,7 +255,7 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
 
     # A_Tx = {src, dst} ∪ the tx's extras, as sorted deduplicated lists.
     tx = np.arange(n)
-    offsets, flat = _account_sets(
+    offsets, flat = owner_sets(
         np.concatenate([tx, tx, np.repeat(tx, n_extra)]),
         np.concatenate([src, dst, extra_pool[:total_extra]]),
         n,

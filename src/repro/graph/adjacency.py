@@ -1,8 +1,8 @@
 """Driver-side CSR adjacency built from the weighted edge frame.
 
 The sequential kernels (Louvain, G-/A-TxAllo sweeps, METIS-like
-refinement) are deterministic serial algorithms per the paper's §IV-A, so
-they run on collected numpy arrays. The graph builders produce the
+matching and refinement) are deterministic serial algorithms per the
+paper's §IV-A, so they run on collected numpy arrays. The graph builders produce the
 weighted edge list; this module gives it a compact, deterministic
 in-memory shape:
 
@@ -88,9 +88,9 @@ def label_weights(v: int, indptr: list, indices: list, weights: list, labels: li
 
     Takes the CSR as Python lists (no numpy call per node) and adds the
     weights in CSR slot order, so each sum equals ``np.bincount`` over the
-    same slots bit for bit. The one neighbour-label scan of the Louvain,
-    METIS-like and TxAllo (:meth:`~repro.txallo.state.TxAlloState.sweep`)
-    local moves.
+    same slots bit for bit. It serves the TxAllo local moves
+    (:meth:`~repro.txallo.state.TxAlloState.sweep`) only; Louvain and
+    METIS-like scan in C (``repro/kernels.c``).
     """
     acc: dict = {}
     for i in range(indptr[v], indptr[v + 1]):

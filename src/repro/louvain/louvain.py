@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, contract, csr, label_weights
+from repro import kernels
+from repro.graph.adjacency import Adjacency, contract, csr
 
 MAX_LEVELS = 20  # coarsening levels
 MAX_SWEEPS = 20  # local-move sweeps per level
@@ -37,35 +38,22 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 
 
 def _sweep_until_stable(
-    indptr: list, indices: list, weights: list, deg: list, m2: float
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, deg: np.ndarray, m2: float
 ) -> np.ndarray:
-    """Run local-move sweeps on one level; returns each node's label, the
-    index of the node whose community it joined."""
-    n = len(indptr) - 1
-    labels = list(range(n))
-    comm_deg = list(deg)
-    for _ in range(MAX_SWEEPS):
-        moved = 0
-        for v in range(n):
-            acc = label_weights(v, indptr, indices, weights, labels)
-            dv = deg[v]
-            c_old = labels[v]
-            comm_deg[c_old] -= dv
-            own_gain = acc.get(c_old, 0.0) - dv * comm_deg[c_old] / m2
-            best, best_gain = c_old, -np.inf
-            for c in sorted(acc):  # strict > keeps the smallest label on ties
-                gain = acc[c] - dv * comm_deg[c] / m2
-                if gain > best_gain:
-                    best, best_gain = c, gain
-            if best_gain > own_gain + 1e-12 and best != c_old:
-                labels[v] = best
-                comm_deg[best] += dv
-                moved += 1
-            else:
-                comm_deg[c_old] += dv
-        if not moved:
-            break
-    return np.array(labels, dtype=np.int64)
+    """Run local-move sweeps on one level, at most ``MAX_SWEEPS``; returns
+    each node's label, the index of the node whose community it joined.
+
+    The loop is ``louvain_sweep`` in ``repro/kernels.c``: each node moves to
+    the neighbouring community of largest gain ``w_{v,C} - k_v·Σ_tot(C)/2m``
+    (smallest label on ties) when that beats staying by more than 1e-12.
+    """
+    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    labels = np.empty(n, dtype=np.int64)
+    if kernels.lib.louvain_sweep(
+        n, *csr_ptrs, kernels.f64(deg, n), m2, MAX_SWEEPS, kernels.i64(labels, n)
+    ):
+        raise MemoryError("louvain_sweep: out of memory")
+    return labels
 
 
 def louvain(adj: Adjacency) -> np.ndarray:
@@ -88,9 +76,7 @@ def louvain(adj: Adjacency) -> np.ndarray:
         if m2 <= 0:
             break
         indptr, indices, weights = csr(nn, ev, eu, ew)
-        labels = _sweep_until_stable(
-            indptr.tolist(), indices.tolist(), weights.tolist(), deg.tolist(), m2
-        )
+        labels = _sweep_until_stable(indptr, indices, weights, deg, m2)
         # Communities become supernodes; intra edges fold into self-loops.
         uniq, node_map = np.unique(labels, return_inverse=True)
         ev, eu, ew, loop_w = contract(node_map, len(uniq), ev, eu, ew)

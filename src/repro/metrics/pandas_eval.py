@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.chain.ethdata import tx_incidence
+from repro.chain.ethdata import owner_sets, tx_incidence
 from repro.graph.adjacency import index_of
 from repro.metrics.blockchain import AllocationMetrics, rollup, shard_stats
 
@@ -33,23 +33,20 @@ def evaluate_pandas(
     otherwise).
 
     Every incidence entry is mapped to its shard; sorting the
-    ``(tx, shard)`` pairs and dropping repeats leaves each transaction's
-    shard set, so μ is a count per transaction. The evaluation state is
+    ``(tx, shard)`` pairs and dropping repeats
+    (:func:`~repro.chain.ethdata.owner_sets`) leaves each transaction's
+    shard set, so μ is its size. The evaluation state is
     :func:`repro.metrics.blockchain.shard_stats` of the integer
     ``(shard, μ)`` counts, the fold the Spark evaluator uses.
     """
     offsets, incidence = tx_incidence(tx_pdf)
+    n = len(offsets) - 1
     shard = np.asarray(labels, dtype=np.int64)[index_of(accounts, incidence)]
-    tx = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    order = np.lexsort((shard, tx))
-    tx, shard = tx[order], shard[order]
-    first = np.ones(len(tx), dtype=bool)
-    first[1:] = (tx[1:] != tx[:-1]) | (shard[1:] != shard[:-1])
-    tx, shard = tx[first], shard[first]
+    offsets, shard = owner_sets(np.repeat(np.arange(n), np.diff(offsets)), shard, n)
 
-    mu = np.bincount(tx)  # every transaction has an account
+    mu = np.diff(offsets)  # every transaction has an account
     base = int(mu.max(initial=0)) + 1
-    count = np.bincount(shard * base + mu[tx])
+    count = np.bincount(shard * base + np.repeat(mu, mu))
     key = np.flatnonzero(count)
     stats = shard_stats(key // base, key % base, count[key])
     return rollup(*stats, k=k, eta=eta, lam=lam)

@@ -93,6 +93,11 @@ class TestIncidence:
         assert offsets.tolist() == [0, 2, 3, 5]
         assert accounts.tolist() == [1, 3, 2, 4, 5]
 
+    def test_key_wider_than_int64_rejected(self):
+        pdf = pd.DataFrame({"tx_id": [0, 1, 2], "accounts": [[0, 2**62], [1], [2]]})
+        with pytest.raises(ValueError, match="more than an int64 holds"):
+            tx_incidence(pdf)
+
     def test_matches_generated_lists(self, small):
         offsets, accounts = tx_incidence(small)
         parts = np.split(accounts, offsets[1:-1])

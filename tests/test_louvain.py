@@ -48,6 +48,22 @@ class TestCanonicalGraphs:
         labels = louvain(adj)
         assert labels[0] == labels[1]  # merging the pair maximizes Q
 
+        # A path 0-1-2 with self-loops, weights exact in binary: node 0
+        # joins node 1 (2m = 16), then node 1's gain for moving to node 2
+        # is exactly fl(own gain + 1e-12), which is not above the margin, so
+        # it stays; node 2 then joins them. A move on ties would split it.
+        tie = (1.0 + 1e-12) - 1.0
+        adj = adjacency_from_pandas(
+            pd.DataFrame(
+                {
+                    "src": [0, 0, 1, 1, 2],
+                    "dst": [0, 1, 1, 2, 2],
+                    "weight": [0.5, 3.0, 1.0 - tie / 2, 3.0 + tie, 0.5 - tie / 2],
+                }
+            )
+        )
+        np.testing.assert_array_equal(louvain(adj), [0, 0, 0])
+
     def test_self_loop_only_graph(self):
         adj = adjacency_from_pandas(
             pd.DataFrame({"src": [0, 1], "dst": [0, 1], "weight": [1.0, 2.0]})
