@@ -12,6 +12,6 @@ setup(
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["kernels.c"]},  # compiled on first import (repro.kernels)
+    package_data={"repro": ["kernels.c", "kernels.h"]},  # compiled on first import (repro.kernels)
     python_requires=">=3.11",
 )

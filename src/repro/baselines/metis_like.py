@@ -3,9 +3,8 @@
 The graph-based baselines (Fynn et al., BrokerChain) all use METIS as the
 backbone allocator (paper §II-C). METIS is a native C library that cannot
 be installed offline, so this module implements the same three-phase
-multilevel scheme from scratch. Like the library's, its matching and
-refinement loops are compiled C (``repro/kernels.c``); the contraction,
-the initial partition and the level bookkeeping are numpy.
+multilevel scheme from scratch. As in the library, matching and
+refinement are compiled C (``repro/kernels.c``).
 
 1. **Coarsening** — heavy-edge matching: visit nodes in ascending order,
    match each unmatched node with its heaviest unmatched neighbor;
@@ -47,22 +46,18 @@ def _heavy_edge_matching(
     vw: np.ndarray,
     max_vw: float,
 ) -> np.ndarray:
-    """Deterministic heavy-edge matching; returns coarse-node id per node.
+    """Deterministic heavy-edge matching (``heavy_edge_matching`` in
+    ``kernels.c``); returns coarse-node id per node.
 
-    Nodes are visited in ascending order; each unmatched node is matched
-    with its first heaviest unmatched neighbour (``heavy_edge_matching`` in
-    ``repro/kernels.c``). A match is rejected when the combined vertex
-    weight would exceed ``max_vw`` — the standard METIS guard that keeps
-    supernodes small enough for the initial partition to balance (without
-    it, hub-centric transaction graphs collapse into one giant unsplittable
-    supernode). Coarse nodes are numbered in ascending order of each pair's
-    smaller node.
+    A match is rejected when the combined vertex weight would exceed
+    ``max_vw`` — the standard METIS guard that keeps supernodes small
+    enough for the initial partition to balance (without it, hub-centric
+    transaction graphs collapse into one giant unsplittable supernode).
     """
     n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
     cmap = np.empty(n, dtype=np.int64)
-    kernels.lib.heavy_edge_matching(
-        n, *csr_ptrs, kernels.f64(vw, n), max_vw, kernels.i64(cmap, n)
-    )
+    ptr = kernels.ptr
+    kernels.lib.heavy_edge_matching(n, *csr_ptrs, ptr(vw, n), max_vw, ptr(cmap, n))
     return cmap
 
 
@@ -131,21 +126,14 @@ def _refine(
     k: int,
     cap: float,
 ) -> np.ndarray:
-    """Boundary FM-style refinement: positive-gain moves under the cap.
-
-    Each node moves to the neighbouring part with the largest edge-cut
-    gain above 1e-12 (smallest part on ties) whose weight stays within
-    ``cap``; at most ``REFINE_PASSES`` passes, stopping after one with no
-    move (``refine`` in ``repro/kernels.c``).
-    """
+    """Boundary FM-style refinement (``refine`` in ``kernels.c``):
+    positive-gain moves under the cap."""
     n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
     labels = np.array(labels, dtype=np.int64)
-    part_w = np.bincount(labels, weights=vw, minlength=k)  # ValueError on labels < 0
-    if len(part_w) != k:
-        raise ValueError("part labels must be < k")
+    part_w = np.bincount(labels, weights=vw, minlength=k)  # ValueError if a label < 0
+    ptr = kernels.ptr
     if kernels.lib.refine(
-        n, *csr_ptrs, kernels.f64(vw, n), k, cap, REFINE_PASSES,
-        kernels.i64(labels, n), kernels.f64(part_w, k),
+        n, *csr_ptrs, ptr(vw, n), k, cap, REFINE_PASSES, ptr(labels, n), ptr(part_w, k)
     ):
         raise MemoryError("refine: out of memory")
     return labels

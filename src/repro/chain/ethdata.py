@@ -68,15 +68,10 @@ def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def owner_sets(owner: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(offsets, values)`` of ``n`` owners from unordered ``(owner, value)``
-    rows: owner ``i``'s values sorted ascending and deduplicated in
-    ``values[offsets[i]:offsets[i+1]]``. Owners are in ``[0, n)``.
-
-    The rows are ordered by a stable sort of the one int64 key
-    ``owner·span + (value - lo)``, with ``lo = min(0, min value)`` and
-    ``span = max value - lo + 1``, which orders them as
-    ``np.lexsort((values, owner))`` does; ``ValueError`` when the key would
-    overflow int64."""
+    """``(offsets, values)`` of owners ``0..n-1`` from unordered ``(owner,
+    value)`` rows: each owner's values sorted ascending and deduplicated.
+    One stable sort of an int64 key orders the rows as
+    ``np.lexsort((values, owner))`` would; ``ValueError`` if it overflows."""
     lo = int(values.min(initial=0))
     span = int(values.max(initial=0)) - lo + 1
     if n * span > np.iinfo(np.int64).max:

@@ -2,108 +2,95 @@
 
 Louvain's level sweep and METIS-like's heavy-edge matching and refinement
 are serial loops (paper §IV-A), so they run in C on the CSR numpy arrays,
-read in place. The first import compiles ``kernels.c`` with the system C
-compiler into a per-user cache, one shared library per SHA-256 of the
-source and the compiler flags; later imports load the cached library.
-Without a C compiler the import raises ``RuntimeError``: there is no
-Python fallback.
-
-The flags keep IEEE double arithmetic as Python evaluates it: ``-O2``
-with no ``-ffast-math`` and no ``-march=native``, and
-``-ffp-contract=off`` so that no multiply-add is fused into one rounding.
+read in place. The first import compiles ``kernels.c`` with ``cc`` into a
+per-user cache entry named by the SHA-256 of the source, its header and
+the flags; later imports load that entry. Without a C compiler the import
+raises ``RuntimeError``: there is no Python fallback. The flags keep
+Python's IEEE double arithmetic: no ``-ffast-math``, no ``-march=native``,
+and ``-ffp-contract=off``, so no multiply-add is fused into one rounding.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
+import shutil
 import subprocess
 import tempfile
 from pathlib import Path
 
-import cffi
 import numpy as np
 
 SOURCE = Path(__file__).with_name("kernels.c")
+HEADER = SOURCE.with_suffix(".h")
 CC = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 CACHE_DIR = Path.home() / ".cache" / "repro" / "kernels"
 
-ffi = cffi.FFI()
-ffi.cdef(
-    """
-    int louvain_sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
-                      const double *weights, const double *deg, double m2,
-                      int64_t max_sweeps, int64_t *labels);
-    int64_t heavy_edge_matching(int64_t n, const int64_t *indptr, const int64_t *indices,
-                                const double *weights, const double *vw, double max_vw,
-                                int64_t *cmap);
-    int refine(int64_t n, const int64_t *indptr, const int64_t *indices,
-               const double *weights, const double *vw, int64_t k, double cap,
-               int64_t passes, int64_t *labels, double *part_w);
-    """
-)
-
 
 def load():
-    """The kernel library of :data:`SOURCE` built with :data:`FLAGS`,
-    compiled into :data:`CACHE_DIR` first when no build of them is there."""
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + "\0".join(FLAGS).encode()).hexdigest()
-    path = Path(CACHE_DIR) / f"kernels-{key}.so"
-    if not path.exists():
-        _build(path)
-    return ffi.dlopen(str(path))
+    """``(ffi, lib)`` of :data:`SOURCE` built with :data:`FLAGS`, compiled
+    into :data:`CACHE_DIR` first when no build of them is there."""
+    parts = [SOURCE.read_bytes(), HEADER.read_bytes(), *map(str.encode, FLAGS)]
+    entry = Path(CACHE_DIR) / hashlib.sha256(b"\0".join(parts)).hexdigest()
+    if not entry.is_dir():
+        _build(entry)
+    spec = importlib.util.spec_from_file_location("repro_kernels_ffi", entry / "ffi.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ffi, module.ffi.dlopen(str(entry / "kernels.so"))
 
 
-def _build(path: Path) -> None:
-    """Compile :data:`SOURCE` to ``path``: into a temporary directory beside
-    it, then renamed into place, so no process loads a half-written file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".build-", dir=path.parent) as tmp:
-        out = Path(tmp) / path.name
-        cmd = [CC, *FLAGS, "-o", str(out), str(SOURCE)]
+def _build(entry: Path) -> None:
+    """Compile the library and write cffi's parse of :data:`HEADER` (so a
+    load parses no C) into a temporary directory beside ``entry``, then
+    rename it into place: no process loads a half-written entry."""
+    import cffi
+
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".build-", dir=entry.parent))
+    try:
+        cmd = [CC, *FLAGS, "-o", str(tmp / "kernels.so"), str(SOURCE)]
         try:
             subprocess.run(cmd, check=True, capture_output=True, text=True)
         except FileNotFoundError:
-            raise RuntimeError(
-                f"repro needs a C compiler to build its kernels ({SOURCE.name}): "
-                f"{CC!r} was not found"
-            ) from None
+            raise RuntimeError(f"repro needs a C compiler for {SOURCE.name}: no {CC!r}") from None
         except subprocess.CalledProcessError as err:
             raise RuntimeError(f"{' '.join(cmd)} failed:\n{err.stderr}") from None
-        os.replace(out, path)
+        ffi = cffi.FFI()
+        ffi.cdef(HEADER.read_text())
+        ffi.set_source("repro_kernels", None, compiler_verbose=False)
+        ffi.emit_python_code(str(tmp / "ffi.py"))
+        try:
+            os.replace(tmp, entry)
+        except OSError:
+            if not entry.is_dir():  # else a concurrent build finished first
+                raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-lib = load()
+ffi, lib = load()
+CTYPES = {np.dtype(np.int64): "int64_t[]", np.dtype(np.float64): "double[]"}
 
 
 def csr_args(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> tuple:
     """``(n, indptr, indices, weights)`` of a CSR as kernel arguments, after
     checking the shape and the neighbour range that the C code relies on."""
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     n = len(indptr) - 1
     if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
         raise ValueError("malformed CSR: indptr must start at 0 and not decrease")
-    nnz = int(indptr[-1])
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    if nnz and not 0 <= indices.min() <= indices.max() < n:
+    if len(indices) and not 0 <= indices.min() <= indices.max() < n:
         raise ValueError("CSR neighbour index out of range")
-    return n, i64(indptr, n + 1), i64(indices, nnz), f64(weights, nnz)
+    return n, ptr(indptr, n + 1), ptr(indices, indptr[-1]), ptr(weights, indptr[-1])
 
 
-def i64(a: np.ndarray, n: int):
-    """An ``int64_t *`` to ``n`` int64 values of ``a``. An output array must
-    already be C-contiguous int64, or the kernel writes to a copy."""
-    return _pointer("int64_t[]", np.int64, a, n)
-
-
-def f64(a: np.ndarray, n: int):
-    """A ``double *`` to ``n`` float64 values of ``a``; as :func:`i64`."""
-    return _pointer("double[]", np.float64, a, n)
-
-
-def _pointer(ctype: str, dtype, a: np.ndarray, n: int):
-    a = np.ascontiguousarray(a, dtype=dtype)
-    if len(a) != n:
-        raise ValueError(f"kernel array has {len(a)} entries, expected {n}")
-    return ffi.from_buffer(ctype, a)
+def ptr(a: np.ndarray, n: int):
+    """A C pointer to the ``n`` values of ``a``, a C-contiguous int64 or
+    float64 array (``KeyError`` for another dtype)."""
+    if len(a) != n or not a.flags.c_contiguous:
+        raise ValueError(f"kernel arrays must be C-contiguous with {n} entries")
+    return ffi.from_buffer(CTYPES[a.dtype], a)

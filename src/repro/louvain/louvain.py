@@ -40,18 +40,13 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 def _sweep_until_stable(
     indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, deg: np.ndarray, m2: float
 ) -> np.ndarray:
-    """Run local-move sweeps on one level, at most ``MAX_SWEEPS``; returns
-    each node's label, the index of the node whose community it joined.
-
-    The loop is ``louvain_sweep`` in ``repro/kernels.c``: each node moves to
-    the neighbouring community of largest gain ``w_{v,C} - k_v·Σ_tot(C)/2m``
-    (smallest label on ties) when that beats staying by more than 1e-12.
-    """
+    """Run at most ``MAX_SWEEPS`` local-move sweeps on one level
+    (``louvain_sweep`` in ``kernels.c``); returns each node's label, the
+    index of the node whose community it joined."""
     n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
     labels = np.empty(n, dtype=np.int64)
-    if kernels.lib.louvain_sweep(
-        n, *csr_ptrs, kernels.f64(deg, n), m2, MAX_SWEEPS, kernels.i64(labels, n)
-    ):
+    ptr = kernels.ptr
+    if kernels.lib.louvain_sweep(n, *csr_ptrs, ptr(deg, n), m2, MAX_SWEEPS, ptr(labels, n)):
         raise MemoryError("louvain_sweep: out of memory")
     return labels
 
