@@ -2,9 +2,9 @@
 
 The sequential kernels (Louvain, G-/A-TxAllo sweeps, METIS-like
 matching and refinement) are deterministic serial algorithms per the
-paper's §IV-A, so they run on collected numpy arrays. The graph builders produce the
-weighted edge list; this module gives it a compact, deterministic
-in-memory shape:
+paper's §IV-A, so they run on collected numpy arrays. The graph
+builders produce the weighted edge list; this module gives it a
+compact, deterministic in-memory shape:
 
 - ``nodes``: sorted unique account ids; a node's *index* into every other
   array is its position here (deterministic — the paper suggests ordering

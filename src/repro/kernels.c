@@ -1,12 +1,12 @@
 /* Sequential sweeps of Louvain and METIS-like over CSR arrays.
  *
  * Paper §IV-A makes these deterministic serial loops, so they run here in
- * C on the driver's numpy arrays (read in place, never copied). Each
- * function is the loop of its Python caller in repro.louvain.louvain or
- * repro.baselines.metis_like, with every float expression in the same
- * operation order, so the labels are bit-identical to a Python float
- * evaluation of the same loop. Build with -ffp-contract=off: a fused
- * multiply-add rounds once where Python rounds twice.
+ * C on the driver's numpy arrays (read in place, never copied), called by
+ * repro.louvain.louvain and repro.baselines.metis_like. Every float
+ * expression is written in the operation order of the documented
+ * algorithm and evaluated in plain IEEE double, so the labels do not
+ * depend on the compiler. Build with -ffp-contract=off: a fused
+ * multiply-add rounds once where separate operations round twice.
  *
  * The neighbour-label scan: a node's weight into each label is summed in
  * CSR slot order into a dense accumulator starting from 0.0, and the
