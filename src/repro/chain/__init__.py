@@ -1,2 +1,2 @@
 """Blockchain substrate: synthetic Ethereum-like transaction stream."""
-from repro.chain.ethdata import EthParams, eth_transactions_pandas, tx_incidence  # noqa: F401
+from repro.chain.ethdata import EthParams, eth_transactions_pandas  # noqa: F401

@@ -45,17 +45,13 @@ class Adjacency:
     @property
     def strength(self) -> np.ndarray:
         """s_v: total incident weight excluding self-loops."""
-        return np.bincount(self.ev, weights=self.weights, minlength=self.n)
+        s = np.bincount(self.ev, weights=self.weights, minlength=self.n)
+        return s.astype(float, copy=False)  # bincount of an empty input is int64
 
     @property
     def total_weight(self) -> float:
         """Sum of undirected edge weights + self-loop weights (= |T|)."""
         return float(self.weights.sum() / 2.0 + self.self_w.sum())
-
-    def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor indices, weights) of node index ``v``, self excluded."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
 
     def index_of(self, accounts: np.ndarray) -> np.ndarray:
         """Map account ids to node indices (must all be present)."""
@@ -106,11 +102,13 @@ def contract(cmap: np.ndarray, nc: int, ev: np.ndarray, eu: np.ndarray, ew: np.n
     per coarse node in ``loop_w`` (each undirected edge counted twice)."""
     cev, ceu = cmap[ev], cmap[eu]
     loop = cev == ceu
-    loop_w = np.bincount(cev[loop], weights=ew[loop], minlength=nc)
+    # np.bincount of an empty input is int64, whatever its weights.
+    loop_w = np.bincount(cev[loop], weights=ew[loop], minlength=nc).astype(float, copy=False)
     keep = ~loop
     key = cev[keep].astype(np.int64) * nc + ceu[keep]
     uk, inv = np.unique(key, return_inverse=True)
-    return uk // nc, uk % nc, np.bincount(inv, weights=ew[keep]), loop_w
+    cw = np.bincount(inv, weights=ew[keep]).astype(float, copy=False)
+    return uk // nc, uk % nc, cw, loop_w
 
 
 def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:

@@ -1,2 +1,2 @@
 """Deterministic weighted Louvain community detection (G-TxAllo init)."""
-from repro.louvain.louvain import louvain, modularity  # noqa: F401
+from repro.louvain.louvain import louvain  # noqa: F401

@@ -23,20 +23,6 @@ MAX_LEVELS = 20  # coarsening levels
 MAX_SWEEPS = 20  # local-move sweeps per level
 
 
-def modularity(adj: Adjacency, labels: np.ndarray) -> float:
-    """Newman modularity Q of a labeling, for tests and sanity checks."""
-    labels = np.asarray(labels)
-    deg = adj.strength + 2.0 * adj.self_w
-    m2 = deg.sum()
-    if m2 == 0:
-        return 0.0
-    intra2 = adj.weights[labels[adj.ev] == labels[adj.indices]].sum()  # 2x intra (no self)
-    intra = intra2 / 2.0 + adj.self_w.sum()
-    n_comm = int(labels.max()) + 1
-    comm_deg = np.bincount(labels, weights=deg, minlength=n_comm)
-    return float(2.0 * intra / m2 - np.sum((comm_deg / m2) ** 2))
-
-
 def _sweep_until_stable(
     indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, deg: np.ndarray, m2: float
 ) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 These operate on a CSR :class:`~repro.graph.adjacency.Adjacency` plus a
 per-node community label array and are the quantities G-/A-TxAllo
-maintains incrementally: per-community workload σ (Eq. 5),
-capacity-free throughput Λ̂, and the inter-community weight ratio γ.
+maintains incrementally: per-community workload σ (Eq. 5) and
+capacity-free throughput Λ̂.
 
 Label conventions: labels are int; negative labels mean "unassigned"
 (A-TxAllo's brand-new nodes) — edges incident to an unassigned node count
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Adjacency
-from repro.metrics import formulas
 
 
 def community_state(
@@ -46,31 +45,3 @@ def community_state(
     lam_hat = selfsum + intra2 / 2.0 + cut / 2.0
     return sigma, lam_hat
 
-
-def graph_gamma(adj: Adjacency, labels: np.ndarray) -> float:
-    """Inter-community weight ratio (graph-level γ, §III-C).
-
-    Note this is the *edge-weight* ratio; the transaction-level γ reported
-    in the evaluation counts whole transactions and is computed by
-    :mod:`repro.metrics.blockchain`. The two coincide when every
-    transaction has exactly two accounts.
-    """
-    labels = np.asarray(labels)
-    cross = labels[adj.ev] != labels[adj.indices]
-    cut_w = adj.weights[cross].sum() / 2.0
-    total = adj.total_weight
-    return float(cut_w / total) if total else 0.0
-
-
-def graph_metrics(
-    adj: Adjacency, labels: np.ndarray, k: int, *, eta: float, lam: float
-) -> dict[str, float]:
-    """Convenience rollup of graph-level σ/Λ̂ into Λ, ρ, γ for tests."""
-    sigma, lam_hat = community_state(adj, labels, k, eta=eta)
-    lam_i = formulas.clip_throughput(sigma, lam_hat, lam)
-    return {
-        "throughput": float(lam_i.sum()),
-        "norm_throughput": float(lam_i.sum() / lam),
-        "rho": formulas.rho(sigma),
-        "gamma": graph_gamma(adj, labels),
-    }

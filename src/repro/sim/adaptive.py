@@ -61,9 +61,9 @@ def adaptive_simulation(
     *,
     k: int,
     eta: float,
-    step_blocks: int = 10,
+    step_blocks: int,
+    tau2_steps: tuple[int, ...],
     split: float = 0.9,
-    tau2_steps: tuple[int, ...] = (2, 4, 10),
     include_pure_g: bool = True,
 ) -> pd.DataFrame:
     """Run the §VI-C simulation; one row per (step, variant).

@@ -167,18 +167,6 @@ def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> dict[int, Stats]:
     }
 
 
-def evaluate(
-    tx_df: DataFrame, alloc_df: DataFrame, *, k: int, eta: float, lam: float | None = None
-) -> AllocationMetrics:
-    """Evaluate the one allocation of ``alloc_df`` on a stream (Spark path).
-
-    ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1), under
-    which a perfectly balanced all-intra allocation has Λ/λ = k.
-    """
-    (stats,) = collect_stats(tx_df, alloc_df).values()
-    return rollup(*stats, k=k, eta=eta, lam=lam)
-
-
 # -- the T1-T6 harness -----------------------------------------------------------
 #
 # The transaction-level ``scheduler`` is scored on its streaming statistics,

@@ -36,15 +36,11 @@ def map_prev_labels(
     """Align a previous (account -> shard) mapping onto ``adj.nodes``.
 
     Returns a label array for the new graph's node indexing with ``-1``
-    for accounts that did not exist at the previous update.
+    for accounts that did not exist at the previous update. Graphs only
+    grow, so every previous account is in ``adj``; ``KeyError`` if one is not.
     """
     out = np.full(adj.n, -1, dtype=np.int64)
-    if len(prev_accounts) == 0:
-        return out
-    idx = np.searchsorted(prev_accounts, adj.nodes)
-    idx_c = np.minimum(idx, len(prev_accounts) - 1)
-    hit = prev_accounts[idx_c] == adj.nodes
-    out[hit] = prev_labels[idx_c[hit]]
+    out[adj.index_of(prev_accounts)] = prev_labels
     return out
 
 

@@ -72,76 +72,6 @@ class TxAlloState:
     def lam_hat(self) -> np.ndarray:
         return np.array(self._lh)
 
-    # -- read-side helpers -------------------------------------------------
-    def throughput(self) -> float:
-        """Current Λ = Σ_q Λ_q with the capacity clip (Eqs. 2-3)."""
-        return float(clip_throughput(self.sigma, self.lam_hat, self.lam).sum())
-
-    def neighbor_communities(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate communities ℂ_v (Eq. 9) and their weights w_{v,q}.
-
-        Returns the sorted community labels that v connects to (excluding
-        v's own community and unassigned neighbors) and the corresponding
-        weight. ``w_own`` is exposed via :meth:`own_weight`.
-        """
-        nbr, w = self.adj.neighbors(v)
-        labs = self.labels[nbr]
-        ok = labs >= 0
-        labs, w = labs[ok], w[ok]
-        uniq, inv = np.unique(labs, return_inverse=True)
-        wsum = np.bincount(inv, weights=w)
-        own = self._labels_l[v]
-        keep = uniq != own
-        return uniq[keep], wsum[keep]
-
-    def own_weight(self, v: int) -> float:
-        """w_{v, V_p \\ v}: weight from v to other members of its community."""
-        nbr, w = self.adj.neighbors(v)
-        return float(w[self.labels[nbr] == self._labels_l[v]].sum())
-
-    # -- gain math ---------------------------------------------------------
-    def _clip(self, sigma, lam_hat):
-        return clip_throughput(sigma, lam_hat, self.lam)
-
-    def join_gain(self, v: int, targets: np.ndarray, w_vq: np.ndarray) -> np.ndarray:
-        """Δ_join Λ_q for joining each target community (Eq. 6), vectorized."""
-        s_v = self._s_l[v]
-        w_vv = self._self_l[v]
-        sig_q = self.sigma[targets]
-        lh_q = self.lam_hat[targets]
-        sig_q2 = sig_q + w_vv + self.eta * (s_v - w_vq) + (1.0 - self.eta) * w_vq
-        lh_q2 = lh_q + w_vv + s_v / 2.0
-        return self._clip(sig_q2, lh_q2) - self._clip(sig_q, lh_q)
-
-    def leave_gain(self, v: int) -> float:
-        """Δ_leave Λ_p for v leaving its current community (§V-B)."""
-        p = self._labels_l[v]
-        if p < 0:
-            return 0.0
-        s_v = self._s_l[v]
-        w_vv = self._self_l[v]
-        w_vp = self.own_weight(v)
-        sig_p, lh_p = self._sig[p], self._lh[p]
-        sig_p2 = sig_p - w_vv - self.eta * (s_v - w_vp) - (1.0 - self.eta) * w_vp
-        lh_p2 = lh_p - w_vv - s_v / 2.0
-        return float(self._clip(sig_p2, lh_p2) - self._clip(sig_p, lh_p))
-
-    def move_gain(self, v: int, targets: np.ndarray, w_vq: np.ndarray) -> np.ndarray:
-        """Δ_(v,p,q) Λ = Δ_leave Λ_p + Δ_join Λ_q (Eq. 8), per target."""
-        return self.leave_gain(v) + self.join_gain(v, targets, w_vq)
-
-    # -- sweep path --------------------------------------------------------
-    #
-    # The numpy methods above are the readable reference (and the test
-    # oracle). `sweep` gets ℂ_v and the w_{v,q} from `label_weights`, the
-    # neighbour-label scan that Louvain and METIS-like share, and
-    # evaluates Eqs. (6)/(8) inline on the per-shard Python floats: for
-    # the low-degree nodes that dominate transaction graphs, a numpy call
-    # or scalar read per candidate costs more than the arithmetic. Every
-    # expression keeps the oracle's operation order (regrouping a sum
-    # changes bits), so the decisions are bit-identical; ties go to the
-    # smallest shard label in both.
-
     def sweep(self, nodes: list, *, join_only: bool = False) -> float:
         """One pass over ``nodes`` in order; returns the ΔΛ of its moves.
 

@@ -37,6 +37,18 @@ def tx_df(spark, tx_pdf):
     return df
 
 
+@pytest.fixture(scope="session")
+def tiny_adj():
+    return adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))
+
+
+@pytest.fixture(scope="session")
+def tiny_df(spark):
+    from repro.spark import TX_SCHEMA
+
+    return spark.createDataFrame(tiny_tx_pdf().to_dict("records"), schema=TX_SCHEMA)
+
+
 def label_digest(labels: np.ndarray) -> str:
     """SHA-256 of a label array as int64, for pinning labels bit for bit."""
     return hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int64).tobytes()).hexdigest()

@@ -25,6 +25,13 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
+def exploded_accounts(tx_pdf: pd.DataFrame) -> pd.DataFrame:
+    """``(tx_id, account)`` rows of a stream, for the DuckDB oracle."""
+    exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
+    exploded["account"] = exploded["account"].astype("int64")
+    return exploded[["tx_id", "account"]]
+
+
 def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:

@@ -1,14 +1,13 @@
 """Tests for A-TxAllo (Algorithm 2) and the label re-alignment helper."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.metrics.graphlevel import graph_metrics
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
 from tests.conftest import label_digest
+from tests.reference import graph_metrics
 
 
 @pytest.fixture(scope="module")

@@ -84,16 +84,18 @@ class TestBehaviour:
 
     def test_empty_eval_split_rejected(self, stream):
         with pytest.raises(ValueError):
-            adaptive_simulation(stream, k=4, eta=2.0, split=1.0)
+            adaptive_simulation(stream, k=4, eta=2.0, step_blocks=1, tau2_steps=(), split=1.0)
 
     def test_zero_split_rejected(self, stream):
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            adaptive_simulation(stream, k=4, eta=2.0, split=0.0)
+            adaptive_simulation(stream, k=4, eta=2.0, step_blocks=1, tau2_steps=(), split=0.0)
 
     def test_split_below_one_block_rejected(self, stream):
         n_blocks = stream["block"].nunique()
         with pytest.raises(ValueError, match="history split is empty"):
-            adaptive_simulation(stream, k=4, eta=2.0, split=0.5 / n_blocks)
+            adaptive_simulation(
+                stream, k=4, eta=2.0, step_blocks=1, tau2_steps=(), split=0.5 / n_blocks
+            )
 
 
 def _frame_digest(df: pd.DataFrame) -> str:
@@ -169,7 +171,9 @@ class TestEdgeCases:
     def test_k_above_account_count(self):
         """Six accounts, ten shards: every label stays in [0, k)."""
         k = 10
-        out = adaptive_simulation(tiny_tx_pdf(), k=k, eta=2.0, step_blocks=1, split=0.5)
+        out = adaptive_simulation(
+            tiny_tx_pdf(), k=k, eta=2.0, step_blocks=1, split=0.5, tau2_steps=(2, 4, 10)
+        )
         assert out["gamma"].between(0, 1).all()
         assert (out["norm_throughput"] > 0).all()
         adj = adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))

@@ -4,13 +4,8 @@ import pandas as pd
 import pytest
 
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.graph.adjacency import label_weights
-from tests.conftest import tiny_tx_pdf, two_cliques_edges
-
-
-@pytest.fixture(scope="module")
-def tiny_adj():
-    return adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))
+from repro.graph.adjacency import contract, label_weights
+from tests.conftest import two_cliques_edges
 
 
 class TestStructure:
@@ -25,8 +20,7 @@ class TestStructure:
         idx3 = int(np.searchsorted(tiny_adj.nodes, 3))
         assert tiny_adj.self_w[idx3] == pytest.approx(1.0)
         # Self-loops are not in the CSR neighbor lists.
-        nbr, _ = tiny_adj.neighbors(idx3)
-        assert idx3 not in nbr
+        assert idx3 not in tiny_adj.indices[tiny_adj.ev == idx3]
 
     def test_directed_edges_symmetric(self, tiny_adj):
         fwd = set(zip(tiny_adj.ev.tolist(), tiny_adj.indices.tolist()))
@@ -35,14 +29,22 @@ class TestStructure:
 
     def test_strength_is_row_sum(self, tiny_adj):
         for v in range(tiny_adj.n):
-            _, w = tiny_adj.neighbors(v)
-            assert tiny_adj.strength[v] == pytest.approx(w.sum())
+            assert tiny_adj.strength[v] == pytest.approx(tiny_adj.weights[tiny_adj.ev == v].sum())
 
     def test_neighbors_of_account_1(self, tiny_adj):
         idx1 = int(np.searchsorted(tiny_adj.nodes, 1))
-        nbr, w = tiny_adj.neighbors(idx1)
-        partners = set(tiny_adj.nodes[nbr])
+        partners = set(tiny_adj.nodes[tiny_adj.indices[tiny_adj.ev == idx1]])
         assert partners == {2, 3, 4}
+
+    def test_float_weights_of_self_loops_only(self):
+        """A graph of self-loops alone, and contractions that fold every edge or
+        none into self-loops, have float64 weights (``np.bincount([])`` is int64)."""
+        loops = pd.DataFrame({"tx_id": [0, 1], "block": [0, 0], "accounts": [[1], [2]]})
+        adj = adjacency_from_pandas(build_tx_graph_pandas(loops))
+        assert adj.strength.dtype == np.float64
+        ev, eu = np.array([0, 1]), np.array([1, 0])
+        assert contract(np.zeros(2, int), 1, ev, eu, np.ones(2))[2].dtype == np.float64  # all loops
+        assert contract(np.arange(2), 2, ev, eu, np.ones(2))[3].dtype == np.float64  # no loop
 
     def test_csr_weights_match_edge_arrays(self, tiny_adj):
         # ``(ev, indices, weights)`` are the directed edge arrays: ``ev``
@@ -77,7 +79,7 @@ class TestLabelWeights:
         lists = adj.indptr.tolist(), adj.indices.tolist(), adj.weights.tolist()
         for v in range(adj.n):
             got = label_weights(v, *lists, labels.tolist())
-            nbr, w = adj.neighbors(v)
+            nbr, w = adj.indices[adj.ev == v], adj.weights[adj.ev == v]
             uniq, inv = np.unique(labels[nbr], return_inverse=True)
             want = dict(zip(uniq.tolist(), np.bincount(inv, weights=w).tolist()))
             assert got == want

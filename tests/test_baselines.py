@@ -6,8 +6,8 @@ import pytest
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
 from repro.graph import adjacency_from_pandas
 from repro.metrics.blockchain import rollup
-from repro.metrics.graphlevel import graph_gamma
 from tests.conftest import label_digest, two_cliques_edges
+from tests.reference import graph_gamma
 
 
 class TestHashAlloc:

@@ -5,20 +5,16 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.chain import EthParams, eth_transactions_pandas, tx_incidence
+from repro.chain import EthParams, eth_transactions_pandas
 from repro.chain.ethdata import (
     HUB_SHARE,
     _activity_weights,
     _community_assignment,
     _communities,
     _relationship_universe,
+    tx_incidence,
 )
 from repro.spark import spark_transactions
-
-
-@pytest.fixture(scope="module")
-def small():
-    return eth_transactions_pandas(EthParams(sf=0.005, seed=7))
 
 
 class TestParams:
@@ -61,27 +57,27 @@ class TestDeterminism:
 
 
 class TestSchema:
-    def test_columns(self, small):
-        assert list(small.columns) == ["tx_id", "block", "accounts"]
+    def test_columns(self, tx_pdf):
+        assert list(tx_pdf.columns) == ["tx_id", "block", "accounts"]
 
-    def test_tx_ids_are_chronological_sequence(self, small):
-        np.testing.assert_array_equal(small["tx_id"].to_numpy(), np.arange(len(small)))
+    def test_tx_ids_are_chronological_sequence(self, tx_pdf):
+        np.testing.assert_array_equal(tx_pdf["tx_id"].to_numpy(), np.arange(len(tx_pdf)))
 
-    def test_blocks_non_decreasing(self, small):
-        assert (np.diff(small["block"].to_numpy()) >= 0).all()
+    def test_blocks_non_decreasing(self, tx_pdf):
+        assert (np.diff(tx_pdf["block"].to_numpy()) >= 0).all()
 
-    def test_block_count(self, small):
+    def test_block_count(self, tx_pdf):
         p = EthParams(sf=0.005, seed=7)
-        assert small["block"].nunique() == p.n_blocks
+        assert tx_pdf["block"].nunique() == p.n_blocks
 
-    def test_accounts_sorted_unique_nonempty(self, small):
-        for acc in small["accounts"]:
+    def test_accounts_sorted_unique_nonempty(self, tx_pdf):
+        for acc in tx_pdf["accounts"]:
             assert len(acc) >= 1
             assert list(acc) == sorted(set(acc))
 
-    def test_account_ids_in_range(self, small):
+    def test_account_ids_in_range(self, tx_pdf):
         p = EthParams(sf=0.005, seed=7)
-        flat = [a for lst in small["accounts"] for a in lst]
+        flat = [a for lst in tx_pdf["accounts"] for a in lst]
         assert min(flat) >= 0
         assert max(flat) < p.n_accounts
 
@@ -98,10 +94,10 @@ class TestIncidence:
         with pytest.raises(ValueError, match="more than an int64 holds"):
             tx_incidence(pdf)
 
-    def test_matches_generated_lists(self, small):
-        offsets, accounts = tx_incidence(small)
+    def test_matches_generated_lists(self, tx_pdf):
+        offsets, accounts = tx_incidence(tx_pdf)
         parts = np.split(accounts, offsets[1:-1])
-        assert [p.tolist() for p in parts] == [list(a) for a in small["accounts"]]
+        assert [p.tolist() for p in parts] == [list(a) for a in tx_pdf["accounts"]]
 
 
 class TestShape:
@@ -112,28 +108,28 @@ class TestShape:
         share = sum(1 for lst in pdf["accounts"] if 0 in lst) / len(pdf)
         assert 0.08 <= share <= 0.15
 
-    def test_self_loop_rate(self, small):
-        rate = sum(1 for lst in small["accounts"] if len(lst) == 1) / len(small)
+    def test_self_loop_rate(self, tx_pdf):
+        rate = sum(1 for lst in tx_pdf["accounts"] if len(lst) == 1) / len(tx_pdf)
         assert 0.002 <= rate <= 0.03  # P_SELF = 1%
 
-    def test_multi_account_rate(self, small):
-        rate = sum(1 for lst in small["accounts"] if len(lst) > 2) / len(small)
+    def test_multi_account_rate(self, tx_pdf):
+        rate = sum(1 for lst in tx_pdf["accounts"] if len(lst) > 2) / len(tx_pdf)
         assert 0.005 <= rate <= 0.08  # P_MULTI = 3%
 
-    def test_max_accounts_per_tx(self, small):
-        assert max(len(lst) for lst in small["accounts"]) <= 5  # pair + up to 3 extras
+    def test_max_accounts_per_tx(self, tx_pdf):
+        assert max(len(lst) for lst in tx_pdf["accounts"]) <= 5  # pair + up to 3 extras
 
-    def test_long_tail_activity(self, small):
-        counts = pd.Series([a for lst in small["accounts"] for a in lst]).value_counts()
+    def test_long_tail_activity(self, tx_pdf):
+        counts = pd.Series([a for lst in tx_pdf["accounts"] for a in lst]).value_counts()
         # Most accounts appear rarely; the hub dominates.
         assert counts.iloc[0] > 10 * counts.median()
 
-    def test_edge_reuse(self, small):
+    def test_edge_reuse(self, tx_pdf):
         # Persistent relationships: far fewer distinct pairs than txs.
         pairs = {
-            (lst[0], lst[-1]) for lst in small["accounts"] if len(lst) == 2
+            (lst[0], lst[-1]) for lst in tx_pdf["accounts"] if len(lst) == 2
         }
-        n_pairs_txs = sum(1 for lst in small["accounts"] if len(lst) == 2)
+        n_pairs_txs = sum(1 for lst in tx_pdf["accounts"] if len(lst) == 2)
         assert len(pairs) < 0.6 * n_pairs_txs
 
 

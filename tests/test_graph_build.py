@@ -4,15 +4,11 @@ import pandas as pd
 import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
-from repro.graph import adjacency_from_pandas, build_tx_graph_pandas, count_tx_edges, merge_tx_counts
-from repro.oracle import assert_equivalent
+from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
+from repro.graph.build_pandas import count_tx_edges, merge_tx_counts
 from repro.spark import TX_SCHEMA, build_tx_graph, collect_tx_graph
 from tests.conftest import tiny_tx_pdf
-
-
-@pytest.fixture(scope="module")
-def tiny_df(spark):
-    return spark.createDataFrame(tiny_tx_pdf().to_dict("records"), schema=TX_SCHEMA)
+from tests.oracle import assert_equivalent, exploded_accounts
 
 
 @pytest.fixture(scope="module")
@@ -162,50 +158,34 @@ class TestEdgeCases:
         adj = adjacency_from_pandas(build_tx_graph_pandas(pdf))
         v = int(adj.index_of(np.array([9]))[0])
         assert adj.self_w[v] == 2.0
-        assert len(adj.neighbors(v)[0]) == 0
+        assert not (adj.ev == v).any()
         assert adj.total_weight == pytest.approx(len(pdf))
+
+
+# ``build_tx_graph``'s counts in SQL, over ``acc(tx_id, account)``.
+PAIR_COUNTS_SQL = """
+    WITH sized AS (
+        SELECT tx_id, account,
+               COUNT(*) OVER (PARTITION BY tx_id) AS n
+        FROM acc
+    ),
+    pairs AS (
+        SELECT a.account AS src, b.account AS dst, a.n AS n
+        FROM sized a JOIN sized b
+          ON a.tx_id = b.tx_id AND a.account < b.account
+        UNION ALL
+        SELECT account, account, n FROM sized WHERE n = 1
+    )
+    SELECT src, dst, n, COUNT(*) AS "count" FROM pairs GROUP BY src, dst, n
+"""
 
 
 class TestOracle:
     def test_pair_aggregation_vs_duckdb(self, spark, tiny_df):
         """The Spark pair-join + count equals the same SQL in DuckDB."""
         counts = build_tx_graph(tiny_df).select("src", "dst", "n", "count")
-        exploded = tiny_tx_pdf().explode("accounts").rename(columns={"accounts": "account"})
-        exploded["account"] = exploded["account"].astype("int64")
-        sql = """
-            WITH sized AS (
-                SELECT tx_id, account,
-                       COUNT(*) OVER (PARTITION BY tx_id) AS n
-                FROM acc
-            ),
-            pairs AS (
-                SELECT a.account AS src, b.account AS dst, a.n AS n
-                FROM sized a JOIN sized b
-                  ON a.tx_id = b.tx_id AND a.account < b.account
-                UNION ALL
-                SELECT account, account, n FROM sized WHERE n = 1
-            )
-            SELECT src, dst, n, COUNT(*) AS "count" FROM pairs GROUP BY src, dst, n
-        """
-        assert_equivalent(counts, sql, acc=exploded[["tx_id", "account"]])
+        assert_equivalent(counts, PAIR_COUNTS_SQL, acc=exploded_accounts(tiny_tx_pdf()))
 
     def test_generated_aggregation_vs_duckdb(self, spark, tx_df, tx_pdf):
         counts = build_tx_graph(tx_df).select("src", "dst", "n", "count")
-        exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
-        exploded["account"] = exploded["account"].astype("int64")
-        sql = """
-            WITH sized AS (
-                SELECT tx_id, account,
-                       COUNT(*) OVER (PARTITION BY tx_id) AS n
-                FROM acc
-            ),
-            pairs AS (
-                SELECT a.account AS src, b.account AS dst, a.n AS n
-                FROM sized a JOIN sized b
-                  ON a.tx_id = b.tx_id AND a.account < b.account
-                UNION ALL
-                SELECT account, account, n FROM sized WHERE n = 1
-            )
-            SELECT src, dst, n, COUNT(*) AS "count" FROM pairs GROUP BY src, dst, n
-        """
-        assert_equivalent(counts, sql, acc=exploded[["tx_id", "account"]])
+        assert_equivalent(counts, PAIR_COUNTS_SQL, acc=exploded_accounts(tx_pdf))

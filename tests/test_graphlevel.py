@@ -2,14 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.metrics.graphlevel import community_state, graph_gamma, graph_metrics
-from tests.conftest import tiny_tx_pdf, two_cliques_edges
-
-
-@pytest.fixture(scope="module")
-def tiny_adj():
-    return adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))
+from repro.graph import adjacency_from_pandas
+from repro.metrics.graphlevel import community_state
+from tests.conftest import two_cliques_edges
+from tests.reference import graph_gamma, graph_metrics
 
 
 def tiny_labels(tiny_adj):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim.runner import allocate
-from repro.spark import alloc_to_df, evaluate, sweep
+from repro.spark import alloc_to_df, sweep
+from tests.reference import evaluate
 
 
 @pytest.fixture(scope="module")

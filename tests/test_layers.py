@@ -1,9 +1,9 @@
 """The layer boundary: the driver core reaches Spark only through ``repro.spark``.
 
 TxAllo runs on the driver, deterministic and sequential (paper §IV-A), and
-Spark carries only the bulk dataflow around it (DESIGN.md §5). So the
-generator, graph, metrics, allocators and simulations import no pyspark;
-only ``repro/spark.py`` and the test-only DuckDB oracle do.
+Spark carries only the bulk dataflow around it (DESIGN.md §5). So of the
+modules under ``src/repro`` only ``spark.py`` imports pyspark, and none
+imports DuckDB, which only the tests' oracle uses.
 """
 import os
 import re
@@ -11,29 +11,41 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 CORE = ("chain", "graph", "metrics", "sim", "baselines", "txallo", "louvain")
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path; it must exit 0."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def _importers(module: str) -> set[str]:
+    pattern = re.compile(rf"^\s*(from|import) {module}\b", re.M)
+    files = (SRC / "repro").rglob("*.py")
+    return {p.relative_to(SRC / "repro").as_posix() for p in files if pattern.search(p.read_text())}
 
 
 def test_core_loads_no_pyspark():
     """A fresh interpreter that imports every core package has not loaded pyspark."""
     code = "import sys\n" + "".join(f"import repro.{m}\n" for m in CORE)
     code += 'assert "pyspark" not in sys.modules, sorted(m for m in sys.modules if "spark" in m)\n'
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
+    _run_fresh(code)
 
 
 def test_only_spark_module_and_oracle_import_pyspark():
-    pattern = re.compile(r"^\s*(from|import) pyspark\b", re.M)
-    importers = {
-        p.relative_to(SRC / "repro").as_posix()
-        for p in (SRC / "repro").rglob("*.py")
-        if pattern.search(p.read_text())
-    }
-    assert importers == {"spark.py", "oracle.py"}
+    """The DuckDB oracle is ``tests/oracle.py``, so no ``repro`` module imports duckdb."""
+    assert _importers("pyspark") == {"spark.py"}
+    assert _importers("duckdb") == set()
+
+
+def test_every_job_imports_without_pyspark():
+    """Every ``jobs/*.py`` module imports, and loads no pyspark until a job runs."""
+    jobs = sorted(p.stem for p in (ROOT / "jobs").glob("*.py"))
+    code = f"import importlib, sys\nsys.path.insert(0, {str(ROOT / 'jobs')!r})\n"
+    code += f"for m in {jobs!r}:\n    importlib.import_module(m)\n"
+    _run_fresh(code + 'assert "pyspark" not in sys.modules\n')

@@ -7,8 +7,9 @@ import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.louvain import louvain, modularity
+from repro.louvain import louvain
 from tests.conftest import label_digest, two_cliques_edges
+from tests.reference import modularity
 
 # The package re-exports the function under the module's name.
 louvain_module = importlib.import_module("repro.louvain.louvain")

@@ -10,18 +10,14 @@ import pytest
 from repro.baselines import hash_alloc
 from repro.metrics.blockchain import rollup, shard_stats
 from repro.metrics.pandas_eval import evaluate_pandas
-from repro.oracle import assert_equivalent
-from repro.spark import TX_SCHEMA, alloc_to_df, collect_stats, evaluate, shard_mu_counts
+from repro.spark import alloc_to_df, collect_stats, shard_mu_counts
 from tests.conftest import tiny_tx_pdf
+from tests.oracle import assert_equivalent, exploded_accounts
+from tests.reference import evaluate
 
 TINY_ALLOC = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1}
 TINY_ACCOUNTS = np.array(list(TINY_ALLOC))
 TINY_LABELS = np.array(list(TINY_ALLOC.values()))
-
-
-@pytest.fixture(scope="module")
-def tiny_df(spark):
-    return spark.createDataFrame(tiny_tx_pdf().to_dict("records"), schema=TX_SCHEMA)
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +42,6 @@ SPAN_COUNTS_SQL = """
     FROM spans s JOIN mus m USING (alloc, tx_id)
     GROUP BY s.alloc, s.shard, m.mu
 """
-
-
-def exploded_accounts(tx_pdf: pd.DataFrame) -> pd.DataFrame:
-    """``(tx_id, account)`` rows of a stream, for the DuckDB oracle."""
-    exploded = tx_pdf.explode("accounts").rename(columns={"accounts": "account"})
-    exploded["account"] = exploded["account"].astype("int64")
-    return exploded[["tx_id", "account"]]
 
 
 def stacked_hash_allocs(spark, adj, ks=(6, 9)):

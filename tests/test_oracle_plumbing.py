@@ -6,7 +6,8 @@ correct Spark query and reject a wrong one.
 import pytest
 from pyspark.sql import functions as F
 
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
+
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ from repro.baselines import hash_alloc
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.blockchain import rollup
 from repro.sim.runner import METHODS, AllocResult, allocate
-from repro.spark import alloc_to_df, evaluate, sweep
+from repro.spark import alloc_to_df, sweep
+from tests.reference import evaluate
 
 
 class TestAllocate:

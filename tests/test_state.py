@@ -17,19 +17,15 @@ from repro.metrics.graphlevel import community_state
 from repro.metrics.formulas import clip_throughput
 from repro.txallo import g_txallo
 from repro.txallo.state import TxAlloState
-from tests.conftest import tiny_tx_pdf, two_cliques_edges
-
-
-@pytest.fixture(scope="module")
-def tiny_adj():
-    return adjacency_from_pandas(build_tx_graph_pandas(tiny_tx_pdf()))
+from tests.conftest import two_cliques_edges
+from tests.reference import join_gain, move_gain, neighbor_communities, own_weight, throughput
 
 
 def _move(state: TxAlloState, v: int, q: int) -> None:
     """:meth:`TxAlloState.move` with v's weights into ``q`` and into its own
-    community from the numpy oracle."""
-    cands, w = state.neighbor_communities(v)
-    state.move(v, q, float(w[cands == q].sum()), state.own_weight(v))
+    community from the numpy reference."""
+    cands, w = neighbor_communities(state, v)
+    state.move(v, q, float(w[cands == q].sum()), own_weight(state, v))
 
 
 def _assert_state_consistent(state: TxAlloState) -> None:
@@ -100,14 +96,14 @@ class TestGainMath:
         state = TxAlloState(adj, labels, k, eta=eta, lam=lam)
         for v in rng.integers(0, adj.n, 20):
             v = int(v)
-            cands, w_vq = state.neighbor_communities(v)
+            cands, w_vq = neighbor_communities(state, v)
             if cands.size == 0:
                 continue
-            gains = state.move_gain(v, cands, w_vq)
-            before = state.throughput()
+            gains = move_gain(state, v, cands, w_vq)
+            before = throughput(state)
             j = int(rng.integers(0, len(cands)))
-            state.move(v, int(cands[j]), float(w_vq[j]), state.own_weight(v))
-            after = state.throughput()
+            state.move(v, int(cands[j]), float(w_vq[j]), own_weight(state, v))
+            after = throughput(state)
             assert after - before == pytest.approx(float(gains[j]), abs=1e-8)
 
     def test_join_then_leave_restores_state(self, tiny_adj):
@@ -139,7 +135,7 @@ class TestGainMath:
         labels = np.array([0, 0, 0, 1, 1, 1])
         state = TxAlloState(tiny_adj, labels, 2, eta=2.0, lam=4.0)
         expected = clip_throughput(state.sigma, state.lam_hat, 4.0).sum()
-        assert state.throughput() == pytest.approx(float(expected))
+        assert throughput(state) == pytest.approx(float(expected))
 
 
 class TestBestMoveFastPath:
@@ -157,9 +153,9 @@ class TestBestMoveFastPath:
         for v in rng.integers(0, adj.n, 100):
             v = int(v)
             q, gain = int(state.labels[v]), 0.0  # empty ℂ_v or no positive gain: stay
-            cands, w_vq = state.neighbor_communities(v)
+            cands, w_vq = neighbor_communities(state, v)
             if cands.size:
-                gains = state.move_gain(v, cands, w_vq)
+                gains = move_gain(state, v, cands, w_vq)
                 j = int(np.argmax(gains))
                 if gains[j] > 0.0:
                     q, gain = int(cands[j]), float(gains[j])
@@ -178,10 +174,10 @@ class TestBestMoveFastPath:
             state = TxAlloState(adj, labels, k, eta=2.0, lam=adj.total_weight / k)
             for v in np.nonzero(labels < 0)[0][:50]:
                 v = int(v)
-                cands, w_vq = state.neighbor_communities(v)
+                cands, w_vq = neighbor_communities(state, v)
                 if cands.size == 0:
                     cands, w_vq = np.arange(k), np.zeros(k)
-                gains = state.join_gain(v, cands, w_vq)
+                gains = join_gain(state, v, cands, w_vq)
                 j = int(np.argmax(gains))
                 delta = state.sweep([v], join_only=True)
                 assert state.labels[v] == int(cands[j])
@@ -241,7 +237,7 @@ class TestNeighborCommunities:
         labels = np.array([0, 0, 0, 1, 1, -1])
         state = TxAlloState(adj, labels, 2, eta=2.0, lam=10.0)
         # node 0 connects to clique 0 (own), node 3 (community 1 via bridge).
-        cands, w = state.neighbor_communities(0)
+        cands, w = neighbor_communities(state, 0)
         np.testing.assert_array_equal(cands, [1])
         assert w[0] == pytest.approx(1.0)
 
@@ -249,8 +245,8 @@ class TestNeighborCommunities:
         adj = adjacency_from_pandas(two_cliques_edges(n=3, bridge_w=1.0))
         labels = np.array([0, 0, 0, 1, 1, 1])
         state = TxAlloState(adj, labels, 2, eta=2.0, lam=10.0)
-        assert state.own_weight(1) == pytest.approx(2.0)  # two intra-clique edges
-        assert state.own_weight(0) == pytest.approx(2.0)  # bridge not own
+        assert own_weight(state, 1) == pytest.approx(2.0)  # two intra-clique edges
+        assert own_weight(state, 0) == pytest.approx(2.0)  # bridge not own
 
     def test_rejects_labels_ge_k(self, tiny_adj):
         with pytest.raises(ValueError):
