@@ -2,14 +2,13 @@
 engine that G-TxAllo (Algorithm 1) runs too.
 
 Adaptive update: instead of re-optimizing every node, only the nodes V̂
-appearing in the newly committed blocks are processed against the
-previous allocation. Brand-new accounts are first absorbed by max join
-gain (Eq. 6, in ascending node order); then local-move sweeps run over V̂
-in ascending node order (Eq. 8) until the per-sweep accumulated gain
-ΔΛ drops below ε = 1e-5·|T| (|T| = the graph's total weight) or
-``MAX_SWEEPS`` sweeps have run. G-TxAllo's absorb and optimization
-phases (Alg. 1 lines 2-19) are this procedure with V̂ = V and the
-Louvain-ranked mapping as the previous one.
+appearing in the newly committed blocks are processed against the previous
+allocation. Brand-new accounts are first absorbed by max join gain (Eq. 6, in
+ascending node order); then local-move sweeps run over V̂ in ascending node
+order (Eq. 8) until the per-sweep accumulated gain ΔΛ drops below ε = 1e-5·|T|
+(|T| = the graph's total weight) or ``MAX_SWEEPS`` sweeps have run. G-TxAllo's
+absorb and optimization phases (Alg. 1 lines 2-19) are this procedure with
+V̂ = V and the Louvain-ranked mapping as the previous one.
 
 Both phases run through :meth:`~repro.txallo.state.TxAlloState.sweep`,
 on Python floats: the per-shard (σ, Λ̂) and clipped Λ that a move
@@ -28,6 +27,7 @@ from repro.graph.adjacency import Adjacency
 from repro.txallo.state import TxAlloState
 
 MAX_SWEEPS = 100  # cap on the local-move sweeps
+LABEL_DTYPE = np.int16  # shard labels and -1 for k <= 32768: a quarter of int64's memory
 
 
 def map_prev_labels(
@@ -35,11 +35,11 @@ def map_prev_labels(
 ) -> np.ndarray:
     """Align a previous (account -> shard) mapping onto ``adj.nodes``.
 
-    Returns a label array for the new graph's node indexing with ``-1``
+    Returns :data:`LABEL_DTYPE` labels in the new graph's node order, ``-1``
     for accounts that did not exist at the previous update. Graphs only
     grow, so every previous account is in ``adj``; ``KeyError`` if one is not.
     """
-    out = np.full(adj.n, -1, dtype=np.int64)
+    out = np.full(adj.n, -1, dtype=LABEL_DTYPE)
     out[adj.index_of(prev_accounts)] = prev_labels
     return out
 
@@ -53,13 +53,15 @@ def a_txallo(
     eta: float,
     lam: float,
 ) -> np.ndarray:
-    """Run Algorithm 2; returns shard labels in ``[0, k)`` per node index.
+    """Run Algorithm 2; returns :data:`LABEL_DTYPE` shard labels in ``[0, k)`` per node.
 
     ``prev_labels`` is aligned with ``adj.nodes`` (``-1`` = new account,
     see :func:`map_prev_labels`); ``hot_nodes`` are the node indices V̂
     that appear in the newly committed blocks. Every ``-1`` node must be
     in ``hot_nodes`` (a node cannot be new without a new transaction).
     """
+    if k > np.iinfo(LABEL_DTYPE).max + 1:
+        raise ValueError(f"k={k} shards do not fit {np.dtype(LABEL_DTYPE).name} labels")
     prev_labels = np.asarray(prev_labels, dtype=np.int64)
     hot = np.unique(np.asarray(hot_nodes, dtype=np.int64))
 
@@ -77,4 +79,4 @@ def a_txallo(
     while delta >= eps and sweeps < MAX_SWEEPS:
         delta = state.sweep(nodes)
         sweeps += 1
-    return state.labels
+    return state.labels.astype(LABEL_DTYPE)

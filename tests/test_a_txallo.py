@@ -5,7 +5,7 @@ import pytest
 from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.txallo import a_txallo, g_txallo
-from repro.txallo.a_txallo import map_prev_labels
+from repro.txallo.a_txallo import LABEL_DTYPE, map_prev_labels
 from tests.conftest import label_digest
 from tests.reference import graph_metrics
 
@@ -105,6 +105,7 @@ class TestATxAllo:
         """Kernel refactors must not move a single A-TxAllo label."""
         adj_full, prev, hot, lam = self._setup(split_stream)
         labels = a_txallo(adj_full, prev, hot, k=6, eta=2.0, lam=lam)
+        assert labels.dtype == prev.dtype == LABEL_DTYPE
         assert label_digest(labels) == (
             "061f2833b64d8ec80cf6d7ee1b3d5a84ec6f31667412dafcf16b364861954fbc"
         )
@@ -114,6 +115,8 @@ class TestATxAllo:
         # Declare V-hat empty although new (-1) nodes exist -> error.
         with pytest.raises(ValueError):
             a_txallo(adj_full, prev, np.array([], dtype=np.int64), k=6, eta=2.0, lam=lam)
+        with pytest.raises(ValueError, match="do not fit"):  # 16-bit shard labels
+            a_txallo(adj_full, prev, hot, k=2**15 + 1, eta=2.0, lam=lam)
 
     def test_close_to_global_rerun(self, split_stream):
         """§VI-C: the adaptive result should not lose much throughput
