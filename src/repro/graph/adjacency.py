@@ -2,9 +2,9 @@
 
 The sequential kernels (Louvain, G-/A-TxAllo sweeps, METIS-like
 matching and refinement) are deterministic serial algorithms per the
-paper's §IV-A, so they run on collected numpy arrays. The graph
-builders produce the weighted edge list; this module gives it a
-compact, deterministic in-memory shape:
+paper's §IV-A, so they run in C (``repro/kernels.c``) on collected numpy
+arrays. The graph builders produce the weighted edge list; this module
+gives it a compact, deterministic in-memory shape:
 
 - ``nodes``: sorted unique account ids; a node's *index* into every other
   array is its position here (deterministic — the paper suggests ordering
@@ -13,10 +13,11 @@ compact, deterministic in-memory shape:
 - ``ev``, the source node of each CSR slot, so that ``(ev, indices,
   weights)`` are flat directed edge arrays (each undirected edge appears
   twice) for vectorized per-community aggregation with ``np.bincount``.
+  It is derived from ``indptr`` on each access, not stored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -33,14 +34,19 @@ class Adjacency:
 
     nodes: np.ndarray  # int64, sorted account ids
     indptr: np.ndarray  # int64, len n+1
-    indices: np.ndarray  # int32/int64 neighbor node-indices
+    indices: np.ndarray  # int32 neighbor node-indices
     weights: np.ndarray  # float64 edge weights, aligned with indices
     self_w: np.ndarray  # float64, per-node self-loop weight
-    ev: np.ndarray = field(repr=False)  # source node index of each CSR slot
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @property
+    def ev(self) -> np.ndarray:
+        """The source node index of each CSR slot, built anew on each
+        access: a caller that needs it twice keeps it."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @property
     def strength(self) -> np.ndarray:
@@ -69,30 +75,17 @@ def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
 
 def csr(n: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
     """CSR ``(indptr, indices, weights)`` of ``n`` nodes from directed edge
-    arrays; each node's neighbours come in ascending index order.
+    arrays; each node's neighbours come in ascending index order, as int32
+    (the kernels' type, half of int64's memory).
 
     A stable sort of the one key ``ev·n + eu`` gives the permutation of
     ``np.lexsort((eu, ev))``."""
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes do not fit int32 neighbour indices")
     order = np.argsort(ev.astype(np.int64) * n + eu, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ev, minlength=n), out=indptr[1:])
-    return indptr, eu[order], ew[order]
-
-
-def label_weights(v: int, indptr: list, indices: list, weights: list, labels: list) -> dict:
-    """Edge weight from node ``v`` into each label its neighbours carry.
-
-    Takes the CSR as Python lists (no numpy call per node) and adds the
-    weights in CSR slot order, so each sum equals ``np.bincount`` over the
-    same slots bit for bit. It serves the TxAllo local moves
-    (:meth:`~repro.txallo.state.TxAlloState.sweep`) only; Louvain and
-    METIS-like scan in C (``repro/kernels.c``).
-    """
-    acc: dict = {}
-    for i in range(indptr[v], indptr[v + 1]):
-        lab = labels[indices[i]]
-        acc[lab] = acc.get(lab, 0.0) + weights[i]
-    return acc
+    return indptr, eu[order].astype(np.int32), ew[order]
 
 
 def contract(cmap: np.ndarray, nc: int, ev: np.ndarray, eu: np.ndarray, ew: np.ndarray):
@@ -130,8 +123,5 @@ def adjacency_from_pandas(edges: pd.DataFrame) -> Adjacency:
     indptr, indices, weights = csr(
         n, np.concatenate([nsi, ndi]), np.concatenate([ndi, nsi]), np.concatenate([nw, nw])
     )
-    ev = np.repeat(np.arange(n), np.diff(indptr))
-    return Adjacency(
-        nodes=nodes, indptr=indptr, indices=indices, weights=weights, self_w=self_w, ev=ev
-    )
+    return Adjacency(nodes=nodes, indptr=indptr, indices=indices, weights=weights, self_w=self_w)
 

@@ -1,17 +1,18 @@
-/* Sequential sweeps of Louvain and METIS-like over CSR arrays.
+/* Sequential sweeps of Louvain, METIS-like and TxAllo over CSR arrays.
  *
  * Paper §IV-A makes these deterministic serial loops, so they run here in
  * C on the driver's numpy arrays (read in place, never copied), called by
- * repro.louvain.louvain and repro.baselines.metis_like. Every float
- * expression is written in the operation order of the documented
- * algorithm and evaluated in plain IEEE double, so the labels do not
- * depend on the compiler. Build with -ffp-contract=off: a fused
- * multiply-add rounds once where separate operations round twice.
+ * repro.louvain.louvain, repro.baselines.metis_like and
+ * repro.txallo.state.TxAlloState. Every float expression is written in
+ * the operation order of the documented algorithm and evaluated in plain
+ * IEEE double, so the labels do not depend on the compiler. Build with
+ * -ffp-contract=off: a fused multiply-add rounds once where separate
+ * operations round twice.
  *
  * The neighbour-label scan: a node's weight into each label is summed in
- * CSR slot order into a dense accumulator starting from 0.0, and the
- * touched labels are then visited in ascending order, so a strict > keeps
- * the smallest label on ties.
+ * CSR slot order into a dense accumulator starting from 0.0, skipping
+ * unassigned (negative) labels, and the touched labels are then visited
+ * in ascending order, so a strict > keeps the smallest label on ties.
  */
 #include <math.h>
 #include <stdint.h>
@@ -25,18 +26,21 @@ static int cmp_i64(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Add the weight from v into each label of its neighbours to acc[];
- * returns how many distinct labels it touched, listed in ascending order
- * in touched[]. stamp[lab] == visit marks a label already touched in
- * this visit; visit must differ from every earlier visit's. */
+/* Add the weight from v into each label of its neighbours to acc[],
+ * skipping neighbours with a negative label; returns how many distinct
+ * labels it touched, listed in ascending order in touched[].
+ * stamp[lab] == visit marks a label already touched in this visit; visit
+ * must differ from every earlier visit's. */
 static int64_t scan_labels(int64_t v, int64_t visit, const int64_t *indptr,
-                           const int64_t *indices, const double *weights,
+                           const int32_t *indices, const double *weights,
                            const int64_t *labels, double *acc, int64_t *touched,
                            int64_t *stamp)
 {
     int64_t t = 0;
     for (int64_t i = indptr[v]; i < indptr[v + 1]; i++) {
         int64_t lab = labels[indices[i]];
+        if (lab < 0)
+            continue;
         if (stamp[lab] != visit) {
             stamp[lab] = visit;
             acc[lab] = 0.0;
@@ -52,7 +56,7 @@ static int64_t scan_labels(int64_t v, int64_t visit, const int64_t *indptr,
  * max_sweeps sweeps. labels[v] starts at v; a node's label becomes the
  * index of the node whose community it joined. Returns 0, or -1 when out
  * of memory. */
-int louvain_sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
+int louvain_sweep(int64_t n, const int64_t *indptr, const int32_t *indices,
                   const double *weights, const double *deg, double m2, int64_t max_sweeps,
                   int64_t *labels)
 {
@@ -110,7 +114,7 @@ int louvain_sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
  * combined vertex weight stays within max_vw. cmap[v] gets the coarse
  * node of v, numbered in ascending order of each pair's smaller node.
  * Returns the number of coarse nodes. */
-int64_t heavy_edge_matching(int64_t n, const int64_t *indptr, const int64_t *indices,
+int64_t heavy_edge_matching(int64_t n, const int64_t *indptr, const int32_t *indices,
                             const double *weights, const double *vw, double max_vw,
                             int64_t *cmap)
 {
@@ -142,7 +146,7 @@ int64_t heavy_edge_matching(int64_t n, const int64_t *indptr, const int64_t *ind
  * the part's vertex weight within cap; at most passes passes, stopping
  * after a pass with no move. part_w holds each part's weight and is
  * updated. Returns 0, or -1 when out of memory. */
-int refine(int64_t n, const int64_t *indptr, const int64_t *indices, const double *weights,
+int refine(int64_t n, const int64_t *indptr, const int32_t *indices, const double *weights,
            const double *vw, int64_t k, double cap, int64_t passes, int64_t *labels,
            double *part_w)
 {
@@ -185,5 +189,105 @@ int refine(int64_t n, const int64_t *indptr, const int64_t *indices, const doubl
             break;
     }
     free(acc), free(touched), free(stamp);
+    return 0;
+}
+
+/* Lam_q = clip(sigma_q, lam_hat_q): Eq. 3's throughput of one shard. */
+static double clip(double sigma, double lam_hat, double lam)
+{
+    return sigma <= lam ? lam_hat : lam / sigma * lam_hat;
+}
+
+/* Move v to shard q and update sigma, lam_hat and lam_q of its old shard
+ * p (when assigned) and of q only (Lemma 1). w_vq and w_vp are v's
+ * weights into q and into p. */
+void txallo_move(const struct txallo_state *s, int64_t v, int64_t q, double w_vq, double w_vp)
+{
+    int64_t p = s->labels[v];
+    if (p == q)
+        return;
+    double eta = s->eta, s_v = s->strength[v], w_vv = s->self_w[v];
+    if (p >= 0) {
+        s->sigma[p] -= w_vv + eta * (s_v - w_vp) + (1.0 - eta) * w_vp;
+        s->lam_hat[p] -= w_vv + s_v / 2.0;
+        s->lam_q[p] = clip(s->sigma[p], s->lam_hat[p], s->lam);
+    }
+    s->sigma[q] += w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq;
+    s->lam_hat[q] += w_vv + s_v / 2.0;
+    s->lam_q[q] = clip(s->sigma[q], s->lam_hat[q], s->lam);
+    s->labels[v] = q;
+}
+
+/* One TxAllo pass over nodes[] in order (paper Alg. 1 lines 2-19, Alg. 2):
+ * each node moves to the candidate shard of largest Eq. 8 gain when that
+ * gain is positive; a node with no candidate stays. With join_only the
+ * gain is Eq. 6 (no leave term), a node with no candidate takes every
+ * other shard as one with weight 0.0, and the node always joins its best
+ * candidate. *delta gets the summed gain of the moves. Returns 0, or -1
+ * when out of memory. */
+int txallo_sweep(const struct txallo_state *s, const int64_t *nodes, int64_t n_nodes,
+                 int join_only, double *delta)
+{
+    int64_t k = s->k;
+    double *acc = malloc((size_t)k * sizeof *acc);
+    int64_t *touched = malloc((size_t)k * sizeof *touched);
+    int64_t *stamp = malloc((size_t)k * sizeof *stamp);
+    if (!acc || !touched || !stamp) {
+        free(acc), free(touched), free(stamp);
+        return -1;
+    }
+    for (int64_t q = 0; q < k; q++)
+        stamp[q] = -1;
+    double eta = s->eta, eta1 = 1.0 - eta, lam = s->lam, total = 0.0;
+    double *sig = s->sigma, *lh = s->lam_hat, *lam_q = s->lam_q;
+    for (int64_t j = 0; j < n_nodes; j++) {
+        int64_t v = nodes[j];
+        int64_t t = scan_labels(v, j, s->indptr, s->indices, s->weights, s->labels, acc,
+                                touched, stamp);
+        int64_t p = s->labels[v];
+        double w_own = p >= 0 && stamp[p] == j ? acc[p] : 0.0;
+        int64_t c = 0; /* the candidates: touched[] without p */
+        for (int64_t i = 0; i < t; i++)
+            if (touched[i] != p)
+                touched[c++] = touched[i];
+        if (!c) {
+            if (!join_only)
+                continue;
+            for (int64_t q = 0; q < k; q++)
+                if (q != p) {
+                    acc[q] = 0.0;
+                    touched[c++] = q;
+                }
+            if (!c)
+                continue;
+        }
+        double s_v = s->strength[v], w_vv = s->self_w[v], half = s_v / 2.0, leave = 0.0;
+        if (!join_only && p >= 0) {
+            double sig_p2 = sig[p] - w_vv - eta * (s_v - w_own) - eta1 * w_own;
+            double lh_p2 = lh[p] - w_vv - half;
+            leave = clip(sig_p2, lh_p2, lam) - lam_q[p];
+        }
+        int64_t best_q = -1;
+        double best_gain = -INFINITY, best_w = 0.0;
+        for (int64_t i = 0; i < c; i++) {
+            int64_t q = touched[i];
+            double w_vq = acc[q];
+            double sig_q2 = sig[q] + w_vv + eta * (s_v - w_vq) + eta1 * w_vq;
+            double lh_q2 = lh[q] + w_vv + half;
+            double gain = leave + clip(sig_q2, lh_q2, lam) - lam_q[q];
+            if (gain > best_gain) {
+                best_q = q;
+                best_gain = gain;
+                best_w = w_vq;
+            }
+        }
+        /* best_q < 0 only when every gain is NaN */
+        if (best_q >= 0 && (join_only || best_gain > 0.0)) {
+            txallo_move(s, v, best_q, best_w, w_own);
+            total += best_gain;
+        }
+    }
+    free(acc), free(touched), free(stamp);
+    *delta = total;
     return 0;
 }

@@ -1,13 +1,14 @@
 """The compiled sequential sweeps: ``kernels.c``, loaded with cffi.
 
-Louvain's level sweep and METIS-like's heavy-edge matching and refinement
-are serial loops (paper §IV-A), so they run in C on the CSR numpy arrays,
-read in place. The first import compiles ``kernels.c`` with ``cc`` into a
-per-user cache entry named by the SHA-256 of the source, its header and
-the flags; later imports load that entry. Without a C compiler the import
-raises ``RuntimeError``: there is no Python fallback. The flags keep
-Python's IEEE double arithmetic: no ``-ffast-math``, no ``-march=native``,
-and ``-ffp-contract=off``, so no multiply-add is fused into one rounding.
+Louvain's level sweep, METIS-like's heavy-edge matching and refinement
+and the G-/A-TxAllo sweep are serial loops (paper §IV-A), so these four
+run in C on the CSR numpy arrays, read in place. The first import
+compiles ``kernels.c`` with ``cc`` into a per-user cache entry named by
+the SHA-256 of the source, its header and the flags; later imports load
+that entry. Without a C compiler the import raises ``RuntimeError``: there
+is no Python fallback. The flags keep Python's IEEE double arithmetic: no
+``-ffast-math``, no ``-march=native``, and ``-ffp-contract=off``, so no
+multiply-add is fused into one rounding.
 """
 from __future__ import annotations
 
@@ -71,26 +72,33 @@ def _build(entry: Path) -> None:
 
 
 ffi, lib = load()
-CTYPES = {np.dtype(np.int64): "int64_t[]", np.dtype(np.float64): "double[]"}
+CTYPES = {
+    np.dtype(np.int32): "int32_t[]",
+    np.dtype(np.int64): "int64_t[]",
+    np.dtype(np.float64): "double[]",
+}
 
 
 def csr_args(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> tuple:
-    """``(n, indptr, indices, weights)`` of a CSR as kernel arguments, after
-    checking the shape and the neighbour range that the C code relies on."""
+    """``(n, indptr, indices, weights)`` of a CSR as kernel arguments (int64
+    offsets, int32 neighbours, float64 weights), after checking the shape
+    and the neighbour range that the C code relies on."""
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     n = len(indptr) - 1
     if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
         raise ValueError("malformed CSR: indptr must start at 0 and not decrease")
     if len(indices) and not 0 <= indices.min() <= indices.max() < n:
         raise ValueError("CSR neighbour index out of range")
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} nodes do not fit the kernels' int32 neighbour indices")
+    indices = np.ascontiguousarray(indices, dtype=np.int32)
     return n, ptr(indptr, n + 1), ptr(indices, indptr[-1]), ptr(weights, indptr[-1])
 
 
 def ptr(a: np.ndarray, n: int):
-    """A C pointer to the ``n`` values of ``a``, a C-contiguous int64 or
-    float64 array (``KeyError`` for another dtype)."""
+    """A C pointer to the ``n`` values of ``a``, a C-contiguous int32, int64
+    or float64 array (``KeyError`` for another dtype)."""
     if len(a) != n or not a.flags.c_contiguous:
         raise ValueError(f"kernel arrays must be C-contiguous with {n} entries")
     return ffi.from_buffer(CTYPES[a.dtype], a)

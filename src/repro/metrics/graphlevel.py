@@ -27,11 +27,12 @@ def community_state(
     Λ̂_q = (self-loops) + (intra weight) + (cut weight)/2       — §III-C
     """
     labels = np.asarray(labels)
-    assigned_e = labels[adj.ev] >= 0
-    same = assigned_e & (labels[adj.ev] == labels[adj.indices])
+    lab_src = labels[adj.ev]
+    assigned_e = lab_src >= 0
+    same = assigned_e & (lab_src == labels[adj.indices])
     cross = assigned_e & ~same
 
-    lab_ev = np.where(labels[adj.ev] >= 0, labels[adj.ev], 0)
+    lab_ev = np.where(assigned_e, lab_src, 0)
     # Each undirected intra edge appears twice in the directed arrays with
     # the same community on both rows -> bincount gives 2x intra weight.
     intra2 = np.bincount(lab_ev[same], weights=adj.weights[same], minlength=n_comm)

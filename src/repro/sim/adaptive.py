@@ -120,6 +120,7 @@ def adaptive_simulation(
         n_txs += len(step_pdf)
         lam_full = n_txs / k
         hot = adj.index_of(np.unique(np.concatenate(step_counts[:2])))
+        hot = hot.astype(np.int32)  # V̂ in half of int64's memory
         lam_step = len(step_pdf) / k
 
         for v in variants:

@@ -11,13 +11,16 @@ absorb and optimization phases (Alg. 1 lines 2-19) are this procedure with
 V̂ = V and the Louvain-ranked mapping as the previous one.
 
 Both phases run through :meth:`~repro.txallo.state.TxAlloState.sweep`,
-on Python floats: the per-shard (σ, Λ̂) and clipped Λ that a move
-updates for its source and target shard only (Lemma 1).
+one compiled pass per call (``txallo_sweep`` in ``repro/kernels.c``) on
+the adjacency's arrays, read in place, and the per-shard (σ, Λ̂) and
+clipped Λ that a move updates for its source and target shard only
+(Lemma 1).
 
 Cost per call: the sweeps touch V̂ and its neighbourhoods only, but the
 :class:`~repro.txallo.state.TxAlloState` set-up is still O(N+E) — a
-from-scratch (σ, Λ̂) and list copies of the whole CSR — so a step's time
-grows with the history, unlike §V-C's O(|V̂|·k).
+from-scratch (σ, Λ̂) in ``community_state``, the strengths s_v, and
+``csr_args``'s checks of the whole CSR — so a step's time grows with the
+history, unlike §V-C's O(|V̂|·k).
 """
 from __future__ import annotations
 
@@ -57,13 +60,16 @@ def a_txallo(
 
     ``prev_labels`` is aligned with ``adj.nodes`` (``-1`` = new account,
     see :func:`map_prev_labels`); ``hot_nodes`` are the node indices V̂
-    that appear in the newly committed blocks. Every ``-1`` node must be
-    in ``hot_nodes`` (a node cannot be new without a new transaction).
+    that appear in the newly committed blocks, of any integer dtype.
+    Every ``-1`` node must be in ``hot_nodes`` (a node cannot be new
+    without a new transaction).
     """
     if k > np.iinfo(LABEL_DTYPE).max + 1:
         raise ValueError(f"k={k} shards do not fit {np.dtype(LABEL_DTYPE).name} labels")
-    prev_labels = np.asarray(prev_labels, dtype=np.int64)
+    prev_labels = np.asarray(prev_labels)
     hot = np.unique(np.asarray(hot_nodes, dtype=np.int64))
+    if len(hot) and not 0 <= hot[0] <= hot[-1] < adj.n:
+        raise ValueError(f"V-hat node indices must lie in [0, {adj.n})")
 
     unassigned = np.nonzero(prev_labels < 0)[0]
     if not np.isin(unassigned, hot).all():
@@ -72,11 +78,10 @@ def a_txallo(
     state = TxAlloState(adj, prev_labels, k, eta=eta, lam=lam)
     # Absorb the new nodes (Alg. 1 lines 2-9 / Alg. 2 lines 1-8), then
     # sweep V̂ (lines 10-19 / 9-18), both in ascending order.
-    state.sweep(hot[prev_labels[hot] < 0].tolist(), join_only=True)
-    nodes = hot.tolist()
+    state.sweep(hot[prev_labels[hot] < 0], join_only=True)
     eps = 1e-5 * adj.total_weight  # the paper's ε = 1e-5·|T|
     sweeps, delta = 0, np.inf
     while delta >= eps and sweeps < MAX_SWEEPS:
-        delta = state.sweep(nodes)
+        delta = state.sweep(hot)
         sweeps += 1
     return state.labels.astype(LABEL_DTYPE)

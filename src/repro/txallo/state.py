@@ -16,12 +16,15 @@ w_vq to community q):
 
 (the leave deltas are the exact inverses of the join deltas, as they must
 be for the state to stay consistent under arbitrary move sequences).
+The sweeps and the moves run in C (``txallo_sweep`` and ``txallo_move``
+in ``repro/kernels.c``) on numpy arrays that they update in place.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.adjacency import Adjacency, label_weights
+from repro import kernels
+from repro.graph.adjacency import Adjacency
 from repro.metrics.formulas import clip_throughput
 from repro.metrics.graphlevel import community_state
 
@@ -33,8 +36,8 @@ class TxAlloState:
     unassigned node (contributes nothing; its incident edges count as
     cross for assigned neighbors, consistent with
     :func:`~repro.metrics.graphlevel.community_state`). ``labels``,
-    ``sigma`` and ``lam_hat`` are numpy snapshots of the Python lists
-    that :meth:`move` and :meth:`sweep` update.
+    ``sigma`` and ``lam_hat`` are copies of the arrays that :meth:`move`
+    and :meth:`sweep` update.
     """
 
     def __init__(
@@ -44,36 +47,43 @@ class TxAlloState:
         self.k = int(k)
         self.eta = float(eta)
         self.lam = float(lam)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.max(initial=-1) >= k:
-            raise ValueError("labels must be < k (or -1 for unassigned)")
+        labels = np.array(labels, dtype=np.int64)  # a copy: the kernel moves nodes in it
+        if len(labels) != adj.n:
+            raise ValueError(f"{len(labels)} labels for {adj.n} nodes")
+        if len(labels) and not -1 <= labels.min() <= labels.max() < k:
+            raise ValueError("labels must lie in [0, k), or be -1 for unassigned")
         sigma, lam_hat = community_state(adj, labels, k, eta=eta)
-        # Per-shard σ_q, Λ̂_q and Λ_q = clip(σ_q, Λ̂_q) as Python floats,
-        # and Python-list copies of the CSR and labels for `sweep`.
-        self._sig = sigma.tolist()
-        self._lh = lam_hat.tolist()
-        self._lam_q = clip_throughput(sigma, lam_hat, self.lam).tolist()
-        self._indptr_l = adj.indptr.tolist()
-        self._ind_l = adj.indices.tolist()
-        self._w_l = adj.weights.tolist()
-        self._self_l = adj.self_w.tolist()
-        self._s_l = adj.strength.tolist()
-        self._labels_l = labels.tolist()
+        lam_q = clip_throughput(sigma, lam_hat, self.lam)
+        self._labels, self._sig, self._lh, self._lam_q = labels, sigma, lam_hat, lam_q
+        ptr = kernels.ptr
+        n, indptr, indices, weights = kernels.csr_args(adj.indptr, adj.indices, adj.weights)
+        # Each pointer keeps its array alive; the struct's copies of them do not.
+        self._ptrs = {
+            "indptr": indptr, "indices": indices, "weights": weights,
+            "self_w": ptr(adj.self_w, n), "strength": ptr(adj.strength, n),
+            "labels": ptr(labels, n),
+            "sigma": ptr(sigma, k), "lam_hat": ptr(lam_hat, k), "lam_q": ptr(lam_q, k),
+        }
+        self._c = kernels.ffi.new(
+            "struct txallo_state *",
+            {"n": n, "k": self.k, "eta": self.eta, "lam": self.lam, **self._ptrs},
+        )
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array(self._labels_l, dtype=np.int64)
+        return self._labels.copy()
 
     @property
     def sigma(self) -> np.ndarray:
-        return np.array(self._sig)
+        return self._sig.copy()
 
     @property
     def lam_hat(self) -> np.ndarray:
-        return np.array(self._lh)
+        return self._lh.copy()
 
-    def sweep(self, nodes: list, *, join_only: bool = False) -> float:
-        """One pass over ``nodes`` in order; returns the ΔΛ of its moves.
+    def sweep(self, nodes, *, join_only: bool = False) -> float:
+        """One pass over the node indices ``nodes`` in order; returns the ΔΛ
+        of its moves.
 
         Each node moves to the candidate with the largest gain: Eq. (8)
         over ℂ_v, moving only on a positive gain (Alg. 1 lines 11-18;
@@ -81,43 +91,14 @@ class TxAlloState:
         (the absorb phase, Alg. 1 lines 2-9) the gain is Eq. (6), the
         leave side is skipped, empty ℂ_v falls back to all k, and the
         node always joins its best candidate."""
-        indptr, ind, wts, labels = self._indptr_l, self._ind_l, self._w_l, self._labels_l
-        sig, lh, lam_q, s_l, self_l = self._sig, self._lh, self._lam_q, self._s_l, self._self_l
-        eta, eta1, lam = self.eta, 1.0 - self.eta, self.lam
-        delta = 0.0
-        for v in nodes:
-            p = labels[v]
-            acc = label_weights(v, indptr, ind, wts, labels)
-            acc.pop(-1, None)  # unassigned neighbours
-            w_own = acc.pop(p, 0.0)
-            if not acc:
-                if not join_only:
-                    continue
-                acc = dict.fromkeys(range(self.k), 0.0)
-                acc.pop(p, None)
-                if not acc:
-                    continue
-            s_v = s_l[v]
-            w_vv = self_l[v]
-            half = s_v / 2.0
-            if join_only or p < 0:
-                leave = 0.0
-            else:
-                sig_p2 = sig[p] - w_vv - eta * (s_v - w_own) - eta1 * w_own
-                lh_p2 = lh[p] - w_vv - half
-                leave = (lh_p2 if sig_p2 <= lam else lam / sig_p2 * lh_p2) - lam_q[p]
-            best_q, best_gain, best_w = -1, -np.inf, 0.0
-            for q in sorted(acc):  # ascending labels -> first-max tie-break
-                w_vq = acc[q]
-                sig_q2 = sig[q] + w_vv + eta * (s_v - w_vq) + eta1 * w_vq
-                lh_q2 = lh[q] + w_vv + half
-                gain = leave + (lh_q2 if sig_q2 <= lam else lam / sig_q2 * lh_q2) - lam_q[q]
-                if gain > best_gain:
-                    best_q, best_gain, best_w = q, gain, w_vq
-            if join_only or best_gain > 0.0:
-                self.move(v, best_q, best_w, w_own)
-                delta += best_gain
-        return delta
+        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        if len(nodes) and not 0 <= nodes.min() <= nodes.max() < self.adj.n:
+            raise ValueError(f"sweep node indices must lie in [0, {self.adj.n})")
+        delta = kernels.ffi.new("double *")
+        nodes_p = kernels.ptr(nodes, len(nodes))
+        if kernels.lib.txallo_sweep(self._c, nodes_p, len(nodes), join_only, delta):
+            raise MemoryError("txallo_sweep: out of memory")
+        return delta[0]
 
     # -- mutation ----------------------------------------------------------
     def move(self, v: int, q: int, w_vq: float, w_vp: float) -> None:
@@ -125,18 +106,6 @@ class TxAlloState:
         source and target only (Lemma 1 guarantees other communities are
         unaffected). ``w_vq`` and ``w_vp`` are v's weights into q and into
         its current community (unused while v is unassigned)."""
-        p = self._labels_l[v]
-        if p == q:
-            return
-        sig, lh, lam_q, lam = self._sig, self._lh, self._lam_q, self.lam
-        eta = self.eta
-        s_v = self._s_l[v]
-        w_vv = self._self_l[v]
-        if p >= 0:
-            sig[p] -= w_vv + eta * (s_v - w_vp) + (1.0 - eta) * w_vp
-            lh[p] -= w_vv + s_v / 2.0
-            lam_q[p] = lh[p] if sig[p] <= lam else lam / sig[p] * lh[p]
-        sig[q] += w_vv + eta * (s_v - w_vq) + (1.0 - eta) * w_vq
-        lh[q] += w_vv + s_v / 2.0
-        lam_q[q] = lh[q] if sig[q] <= lam else lam / sig[q] * lh[q]
-        self._labels_l[v] = int(q)
+        if not (0 <= v < self.adj.n and 0 <= q < self.k):
+            raise ValueError(f"move of node {v} to community {q} is out of range")
+        kernels.lib.txallo_move(self._c, v, q, w_vq, w_vp)

@@ -2,9 +2,8 @@
 
 The gain math reads a :class:`~repro.txallo.state.TxAlloState`'s public
 fields in numpy. ``TxAlloState.sweep`` evaluates the same expressions in
-the same order on per-shard Python floats (cheaper per low-degree node than
-a numpy call), so its decisions are bit-identical; ties go to the smallest
-shard label in both.
+the same order in C (``txallo_sweep`` in ``repro/kernels.c``), so its
+decisions are bit-identical; ties go to the smallest shard label in both.
 """
 from __future__ import annotations
 

@@ -118,6 +118,13 @@ class TestATxAllo:
         with pytest.raises(ValueError, match="do not fit"):  # 16-bit shard labels
             a_txallo(adj_full, prev, hot, k=2**15 + 1, eta=2.0, lam=lam)
 
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_hot_nodes_out_of_range_rejected(self, split_stream, bad):
+        adj_full, prev, hot, lam = self._setup(split_stream)
+        extra = adj_full.n if bad == "n" else bad
+        with pytest.raises(ValueError, match="V-hat node indices"):
+            a_txallo(adj_full, prev, np.append(hot, extra), k=6, eta=2.0, lam=lam)
+
     def test_close_to_global_rerun(self, split_stream):
         """§VI-C: the adaptive result should not lose much throughput
         against a fresh global run on the full graph."""

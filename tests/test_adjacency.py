@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.graph.adjacency import contract, label_weights
+from repro.graph.adjacency import contract
 from tests.conftest import two_cliques_edges
 
 
@@ -68,21 +68,6 @@ class TestIndexOf:
     def test_missing_account_below_range_raises(self, tiny_adj):
         with pytest.raises(KeyError):
             tiny_adj.index_of(np.array([0]))
-
-
-class TestLabelWeights:
-    def test_equals_bincount_bit_for_bit(self, adj):
-        """The list scan must give the sums ``np.unique`` + ``np.bincount``
-        give over the same CSR slots exactly, so the kernels built on it
-        keep their labels."""
-        labels = np.arange(adj.n) % 7 - 1  # includes the unassigned label -1
-        lists = adj.indptr.tolist(), adj.indices.tolist(), adj.weights.tolist()
-        for v in range(adj.n):
-            got = label_weights(v, *lists, labels.tolist())
-            nbr, w = adj.indices[adj.ev == v], adj.weights[adj.ev == v]
-            uniq, inv = np.unique(labels[nbr], return_inverse=True)
-            want = dict(zip(uniq.tolist(), np.bincount(inv, weights=w).tolist()))
-            assert got == want
 
 
 class TestTwoCliques:

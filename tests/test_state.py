@@ -139,7 +139,7 @@ class TestGainMath:
 
 
 class TestBestMoveFastPath:
-    """`sweep`'s pure-Python best move must make bit-identical decisions
+    """`sweep`'s compiled best move must make bit-identical decisions
     to the numpy reference path (candidates + Eq. 8), also after moves."""
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -183,6 +183,18 @@ class TestBestMoveFastPath:
                 assert state.labels[v] == int(cands[j])
                 assert delta == pytest.approx(float(gains[j]), abs=1e-10)
                 _assert_state_consistent(state)
+
+    def test_zero_gain_does_not_move(self):
+        """Path 1-2-3 with shards {1, 2} and {3}, no capacity clip: moving
+        node 2 gains exactly 0.0 (-1.0 to leave, +1.0 to join), and only a
+        positive gain moves a node."""
+        tx = pd.DataFrame({"tx_id": [0, 1], "block": 0, "accounts": [[1, 2], [2, 3]]})
+        adj = adjacency_from_pandas(build_tx_graph_pandas(tx))
+        state = TxAlloState(adj, np.array([0, 0, 1]), 2, eta=2.0, lam=100.0)
+        cands, w_vq = neighbor_communities(state, 1)
+        assert move_gain(state, 1, cands, w_vq).tolist() == [0.0]
+        assert state.sweep([1]) == 0.0
+        np.testing.assert_array_equal(state.labels, [0, 0, 1])
 
 
 # 24 transactions over accounts 0..9. Its shards hold a few units of Λ̂,
@@ -251,3 +263,30 @@ class TestNeighborCommunities:
     def test_rejects_labels_ge_k(self, tiny_adj):
         with pytest.raises(ValueError):
             TxAlloState(tiny_adj, np.full(tiny_adj.n, 5), 2, eta=2.0, lam=1.0)
+
+    @pytest.mark.parametrize("bad", [-2, -(2**40)])
+    def test_rejects_labels_below_unassigned(self, tiny_adj, bad):
+        """A label below -1 would index the kernel's shard arrays out of bounds."""
+        labels = np.zeros(tiny_adj.n, dtype=int)
+        labels[2] = bad
+        with pytest.raises(ValueError):
+            TxAlloState(tiny_adj, labels, 2, eta=2.0, lam=1.0)
+
+    def test_rejects_labels_of_another_graph(self, tiny_adj):
+        with pytest.raises(ValueError):
+            TxAlloState(tiny_adj, np.zeros(tiny_adj.n - 1, dtype=int), 2, eta=2.0, lam=1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 6, 2**40])
+    def test_sweep_rejects_nodes_out_of_range(self, tiny_adj, bad):
+        state = TxAlloState(tiny_adj, np.zeros(tiny_adj.n, dtype=int), 2, eta=2.0, lam=1.0)
+        with pytest.raises(ValueError):
+            state.sweep([0, bad])
+        with pytest.raises(ValueError):
+            state.sweep([bad], join_only=True)
+        np.testing.assert_array_equal(state.labels, 0)  # nothing ran
+
+    @pytest.mark.parametrize("v,q", [(-1, 0), (6, 0), (0, -1), (0, 2)])
+    def test_move_rejects_out_of_range(self, tiny_adj, v, q):
+        state = TxAlloState(tiny_adj, np.zeros(tiny_adj.n, dtype=int), 2, eta=2.0, lam=1.0)
+        with pytest.raises(ValueError):
+            state.move(v, q, 0.0, 0.0)
