@@ -22,8 +22,11 @@ keeps the properties the paper's comparison relies on:
 - **streaming accounting**: a transaction's shard span μ and workload
   charges are those at processing time (a transaction-level allocator
   assigns transactions, not a retroactive final map);
-- **per-transaction processing**: running time scales with the number
-  of transactions, making it by far the slowest method (Fig. 8).
+- **per-transaction processing**: every transaction evaluates the
+  objective over all k shards, so running time grows with the number of
+  transactions times k, where the graph methods' grows with the accounts
+  and edges (Fig. 8). The loop runs in C (``shard_scheduler`` in
+  ``repro/kernels.c``); EXPERIMENTS.md T6 reports where that puts it.
 
 The full Shard Scheduler objective (sender/receiver roles, explicit
 migration cost model) is simplified to affinity + per-block least-load;
@@ -36,16 +39,21 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro import kernels
+from repro.chain.ethdata import tx_incidence
 from repro.metrics.blockchain import Stats, shard_stats
+from repro.txallo.a_txallo import LABEL_DTYPE
 
 BUFFER_RATIO = 1.0  # placement cap = BUFFER_RATIO·λ; buffer = 1 per §VI-B1
+MAX_ACCOUNTS = np.iinfo(np.int32).max  # the kernel's dense account ids are int32
 
 
 @dataclass(frozen=True)
 class SchedulerResult:
     """Final mapping + the *streaming* per-(shard, μ) counts."""
 
-    shard_of: dict[int, int]
+    accounts: np.ndarray  # every account of the stream, ascending
+    shards: np.ndarray  # LABEL_DTYPE: the final shard of each of ``accounts``
     counts: tuple[np.ndarray, np.ndarray, np.ndarray]  # (shard, mu, count) at processing time
 
     def stats(self) -> Stats:
@@ -62,7 +70,9 @@ def shard_scheduler(
     lam: float,
 ) -> SchedulerResult:
     """Stream transactions in ``tx_id`` order, each as its sorted account
-    set A_Tx; a transaction with no accounts raises ``ValueError``.
+    set A_Tx; a transaction with no accounts raises ``ValueError``, as do
+    k outside ``[1, 32768]`` (:data:`LABEL_DTYPE` shards) and more than
+    :data:`MAX_ACCOUNTS` accounts.
 
     ``lam`` is the per-shard capacity over the full window (λ = |T|/k in
     the paper's setting); the placement cap is ``BUFFER_RATIO·λ``.
@@ -71,69 +81,26 @@ def shard_scheduler(
     counts with :func:`repro.metrics.blockchain.shard_stats`, as both
     evaluators do. Deterministic.
     """
-    cap = BUFFER_RATIO * lam
+    if not 1 <= k <= np.iinfo(LABEL_DTYPE).max + 1:
+        raise ValueError(f"k={k} shards must lie in [1, {np.iinfo(LABEL_DTYPE).max + 1}]")
     tx_ids = tx_pdf["tx_id"].to_numpy()
-    order = np.argsort(tx_ids, kind="stable")
-    lists = tx_pdf["accounts"].to_numpy()[order]
-    base = max(map(len, lists), default=0) + 1  # μ <= |A_Tx|
-
-    shard_of: dict[int, int] = {}
-    load = [0.0] * k
-    count = [0] * (k * base)  # transactions per (shard, μ) at s·base + μ
-
-    def best_shard(counts: dict[int, int]) -> int:
-        """Shard Scheduler's placement objective, evaluated over every
-        candidate shard: the under-cap shard with the highest affinity
-        (most involved accounts already there; ties by lower load, then
-        lower id), falling back to the least-loaded shard overall. This
-        O(k) per-object scan, run for every transaction of the stream,
-        is what makes transaction-level allocation expensive at chain
-        scale (paper Fig. 8)."""
-        best_aff = None
-        best_aff_key = None
-        least = 0
-        least_load = load[0]
-        for s in range(k):
-            ls = load[s]
-            if ls < least_load:
-                least, least_load = s, ls
-            aff = counts.get(s, 0)
-            if aff > 0 and ls < cap:
-                key = (-aff, ls, s)
-                if best_aff is None or key < best_aff_key:
-                    best_aff, best_aff_key = s, key
-        return least if best_aff is None else best_aff
-
-    for tx_id, acc in zip(tx_ids[order], lists):
-        accounts = sorted(set(acc))
-        if not accounts:
-            raise ValueError(f"transaction {tx_id} has no accounts")
-        counts: dict[int, int] = {}
-        for a in accounts:
-            s = shard_of.get(a)
-            if s is not None:
-                counts[s] = counts.get(s, 0) + 1
-
-        # The objective is evaluated for every transaction (its target
-        # shard drives both placement of new accounts and migration).
-        target = best_shard(counts)
-        migrated = False
-        for a in accounts:
-            s = shard_of.get(a)
-            if s is None:
-                shard_of[a] = target
-            elif s != target and load[s] >= cap and not migrated:
-                # One state migration per transaction: the first account
-                # stuck in a full shard moves with the transaction.
-                shard_of[a] = target
-                migrated = True
-
-        shards = {shard_of[a] for a in accounts}
-        mu = len(shards)
-        w = 1.0 if mu == 1 else eta
-        for s in shards:
-            load[s] += w
-            count[s * base + mu] += 1
-    count = np.array(count, dtype=np.int64)
+    if (tx_ids[1:] < tx_ids[:-1]).any():
+        tx_pdf = tx_pdf.iloc[np.argsort(tx_ids, kind="stable")]
+    offsets, flat = tx_incidence(tx_pdf)
+    accounts, dense = np.unique(flat, return_inverse=True)
+    if len(accounts) > MAX_ACCOUNTS:
+        raise ValueError(f"{len(accounts)} accounts do not fit the kernel's int32 account ids")
+    dense = dense.astype(np.int32)
+    n = len(offsets) - 1
+    base = int(np.diff(offsets).max(initial=0)) + 1  # μ <= |A_Tx|
+    shards = np.full(len(accounts), -1, dtype=LABEL_DTYPE)
+    load = np.zeros(k)
+    count = np.zeros(k * base, dtype=np.int64)  # transactions per (shard, μ) at s·base + μ
+    ptr = kernels.ptr
+    if kernels.lib.shard_scheduler(
+        n, ptr(offsets, n + 1), ptr(dense, len(dense)), k, BUFFER_RATIO * lam, eta, base,
+        ptr(shards, len(shards)), ptr(load, k), ptr(count, k * base),
+    ):
+        raise MemoryError("shard_scheduler: out of memory")
     key = np.flatnonzero(count)
-    return SchedulerResult(shard_of, (key // base, key % base, count[key]))
+    return SchedulerResult(accounts, shards, (key // base, key % base, count[key]))

@@ -255,7 +255,9 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
         np.concatenate([src, dst, extra_pool[:total_extra]]),
         n,
     )
-    flat, bounds = flat.tolist(), offsets.tolist()
+    # One shared int object per account id, not one per list entry.
+    flat = np.arange(p.n_accounts).astype(object)[flat].tolist()
+    bounds = offsets.tolist()
     accounts = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
 
     txs_per_block = max(1, n // p.n_blocks)

@@ -1,13 +1,14 @@
-/* Sequential sweeps of Louvain, METIS-like and TxAllo over CSR arrays.
+/* Sequential sweeps of Louvain, METIS-like and TxAllo over CSR arrays, and
+ * the Shard Scheduler's pass over the transaction stream.
  *
  * Paper §IV-A makes these deterministic serial loops, so they run here in
  * C on the driver's numpy arrays (read in place, never copied), called by
- * repro.louvain.louvain, repro.baselines.metis_like and
- * repro.txallo.state.TxAlloState. Every float expression is written in
- * the operation order of the documented algorithm and evaluated in plain
- * IEEE double, so the labels do not depend on the compiler. Build with
- * -ffp-contract=off: a fused multiply-add rounds once where separate
- * operations round twice.
+ * repro.louvain.louvain, repro.baselines.metis_like,
+ * repro.txallo.state.TxAlloState and repro.baselines.shard_scheduler.
+ * Every float expression is written in the operation order of the
+ * documented algorithm and evaluated in plain IEEE double, so the labels
+ * do not depend on the compiler. Build with -ffp-contract=off: a fused
+ * multiply-add rounds once where separate operations round twice.
  *
  * The neighbour-label scan: a node's weight into each label is summed in
  * CSR slot order into a dense accumulator starting from 0.0, skipping
@@ -289,5 +290,85 @@ int txallo_sweep(const struct txallo_state *s, const int64_t *nodes, int64_t n_n
     }
     free(acc), free(touched), free(stamp);
     *delta = total;
+    return 0;
+}
+
+/* The Shard Scheduler's stream: transaction t touches the dense account
+ * ids accounts[offsets[t]..offsets[t+1]), ascending and distinct, and the
+ * transactions come in chronological order. shard_of[a] is each account's
+ * shard (-1 = unseen), load[] each shard's accumulated load and
+ * count[s * base + mu] the transactions of span mu charged to shard s;
+ * all three are updated in place. Per transaction: count each shard's
+ * affinity (accounts already there), take as target the under-cap shard
+ * of largest affinity, ties by lower load then lower id, or else the
+ * first least-loaded shard; place unseen accounts on the target, migrate
+ * the first account (in id order) that sits in a full shard, and add 1.0,
+ * or eta when the span mu exceeds 1, to the load of each distinct shard
+ * the transaction then spans. Returns 0, or -1 when out of memory. */
+int shard_scheduler(int64_t n_txs, const int64_t *offsets, const int32_t *accounts, int64_t k,
+                    double cap, double eta, int64_t base, int16_t *shard_of, double *load,
+                    int64_t *count)
+{
+    int64_t *aff = malloc((size_t)k * sizeof *aff);
+    int64_t *touched = malloc((size_t)k * sizeof *touched);
+    int64_t *stamp = malloc((size_t)k * sizeof *stamp);
+    if (!aff || !touched || !stamp) {
+        free(aff), free(touched), free(stamp);
+        return -1;
+    }
+    for (int64_t q = 0; q < k; q++) {
+        aff[q] = 0;
+        stamp[q] = -1;
+    }
+    for (int64_t t = 0; t < n_txs; t++) {
+        int64_t lo = offsets[t], hi = offsets[t + 1];
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t s = shard_of[accounts[i]];
+            if (s >= 0)
+                aff[s]++;
+        }
+        int64_t least = 0, best = -1, best_aff = 0;
+        double least_load = load[0], best_load = 0.0;
+        for (int64_t q = 0; q < k; q++) {
+            double lq = load[q];
+            int64_t a = aff[q];
+            aff[q] = 0; /* ready for the next transaction */
+            if (lq < least_load) {
+                least = q;
+                least_load = lq;
+            }
+            if (a > 0 && lq < cap
+                && (best < 0 || a > best_aff || (a == best_aff && lq < best_load))) {
+                best = q;
+                best_aff = a;
+                best_load = lq;
+            }
+        }
+        int16_t target = (int16_t)(best < 0 ? least : best);
+        int migrated = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int16_t *s = &shard_of[accounts[i]];
+            if (*s < 0) {
+                *s = target;
+            } else if (*s != target && load[*s] >= cap && !migrated) {
+                *s = target;
+                migrated = 1;
+            }
+        }
+        int64_t mu = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t s = shard_of[accounts[i]];
+            if (stamp[s] != t) {
+                stamp[s] = t;
+                touched[mu++] = s;
+            }
+        }
+        double w = mu == 1 ? 1.0 : eta;
+        for (int64_t j = 0; j < mu; j++) {
+            load[touched[j]] += w;
+            count[touched[j] * base + mu]++;
+        }
+    }
+    free(aff), free(touched), free(stamp);
     return 0;
 }

@@ -24,3 +24,6 @@ struct txallo_state {
 void txallo_move(const struct txallo_state *s, int64_t v, int64_t q, double w_vq, double w_vp);
 int txallo_sweep(const struct txallo_state *s, const int64_t *nodes, int64_t n_nodes,
                  int join_only, double *delta);
+int shard_scheduler(int64_t n_txs, const int64_t *offsets, const int32_t *accounts, int64_t k,
+                    double cap, double eta, int64_t base, int16_t *shard_of, double *load,
+                    int64_t *count);

@@ -1,12 +1,13 @@
 """The compiled sequential sweeps: ``kernels.c``, loaded with cffi.
 
-Louvain's level sweep, METIS-like's heavy-edge matching and refinement
-and the G-/A-TxAllo sweep are serial loops (paper §IV-A), so these four
-run in C on the CSR numpy arrays, read in place. The first import
-compiles ``kernels.c`` with ``cc`` into a per-user cache entry named by
-the SHA-256 of the source, its header and the flags; later imports load
-that entry. Without a C compiler the import raises ``RuntimeError``: there
-is no Python fallback. The flags keep Python's IEEE double arithmetic: no
+Louvain's level sweep, METIS-like's heavy-edge matching and refinement,
+the G-/A-TxAllo sweep and the Shard Scheduler's transaction stream are
+serial loops (paper §IV-A), so they run in C on numpy arrays read and
+updated in place. The first import compiles ``kernels.c`` with ``cc``
+into a per-user cache entry named by the SHA-256 of the source, its
+header and the flags; later imports load that entry. Without a C
+compiler the import raises ``RuntimeError``: there is no Python
+fallback. The flags keep Python's IEEE double arithmetic: no
 ``-ffast-math``, no ``-march=native``, and ``-ffp-contract=off``, so no
 multiply-add is fused into one rounding.
 """
@@ -73,6 +74,7 @@ def _build(entry: Path) -> None:
 
 ffi, lib = load()
 CTYPES = {
+    np.dtype(np.int16): "int16_t[]",
     np.dtype(np.int32): "int32_t[]",
     np.dtype(np.int64): "int64_t[]",
     np.dtype(np.float64): "double[]",
@@ -97,8 +99,8 @@ def csr_args(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> tu
 
 
 def ptr(a: np.ndarray, n: int):
-    """A C pointer to the ``n`` values of ``a``, a C-contiguous int32, int64
-    or float64 array (``KeyError`` for another dtype)."""
+    """A C pointer to the ``n`` values of ``a``, a C-contiguous int16, int32,
+    int64 or float64 array (``KeyError`` for another dtype)."""
     if len(a) != n or not a.flags.c_contiguous:
         raise ValueError(f"kernel arrays must be C-contiguous with {n} entries")
     return ffi.from_buffer(CTYPES[a.dtype], a)

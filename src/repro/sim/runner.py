@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
-from repro.graph.adjacency import Adjacency
+from repro.graph.adjacency import Adjacency, index_of
 from repro.metrics.blockchain import Stats
 from repro.txallo import g_txallo
 
@@ -56,7 +56,7 @@ def allocate(
         if tx_pdf is None:
             raise ValueError("scheduler needs the transaction stream tx_pdf")
         res = shard_scheduler(tx_pdf, k, eta=eta, lam=lam)
-        labels = np.array([res.shard_of[int(a)] for a in adj.nodes], dtype=np.int64)
+        labels = res.shards[index_of(res.accounts, adj.nodes)]
         return AllocResult(labels, time.perf_counter() - t0, res.stats())
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -1,5 +1,7 @@
 """References the tests compare the program against; ``repro`` calls none.
 
+:func:`shard_scheduler` is the Python loop that ``shard_scheduler`` in
+``repro/kernels.c`` runs; the kernel's shards and counts equal it exactly.
 The gain math reads a :class:`~repro.txallo.state.TxAlloState`'s public
 fields in numpy. ``TxAlloState.sweep`` evaluates the same expressions in
 the same order in C (``txallo_sweep`` in ``repro/kernels.c``), so its
@@ -8,7 +10,9 @@ decisions are bit-identical; ties go to the smallest shard label in both.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
+from repro.baselines.shard_scheduler import BUFFER_RATIO
 from repro.graph.adjacency import Adjacency
 from repro.metrics.blockchain import AllocationMetrics, rollup
 from repro.metrics.formulas import clip_throughput, rho
@@ -134,3 +138,72 @@ def evaluate(
     """
     (stats,) = collect_stats(tx_df, alloc_df).values()
     return rollup(*stats, k=k, eta=eta, lam=lam)
+
+
+def shard_scheduler(
+    tx_pdf: pd.DataFrame, k: int, *, eta: float, lam: float
+) -> tuple[dict[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The Shard Scheduler's per-transaction loop in Python: the final
+    ``{account: shard}`` map and the streaming ``(shard, mu, count)``
+    table, as :func:`repro.baselines.shard_scheduler` computes them."""
+    cap = BUFFER_RATIO * lam
+    tx_ids = tx_pdf["tx_id"].to_numpy()
+    order = np.argsort(tx_ids, kind="stable")
+    lists = tx_pdf["accounts"].to_numpy()[order]
+    base = max(map(len, lists), default=0) + 1  # μ <= |A_Tx|
+
+    shard_of: dict[int, int] = {}
+    load = [0.0] * k
+    count = [0] * (k * base)  # transactions per (shard, μ) at s·base + μ
+
+    def best_shard(counts: dict[int, int]) -> int:
+        """The under-cap shard with the highest affinity (ties by lower
+        load, then lower id), falling back to the least-loaded shard."""
+        best_aff = None
+        best_aff_key = None
+        least = 0
+        least_load = load[0]
+        for s in range(k):
+            ls = load[s]
+            if ls < least_load:
+                least, least_load = s, ls
+            aff = counts.get(s, 0)
+            if aff > 0 and ls < cap:
+                key = (-aff, ls, s)
+                if best_aff is None or key < best_aff_key:
+                    best_aff, best_aff_key = s, key
+        return least if best_aff is None else best_aff
+
+    for tx_id, acc in zip(tx_ids[order], lists):
+        accounts = sorted(set(acc))
+        if not accounts:
+            raise ValueError(f"transaction {tx_id} has no accounts")
+        counts: dict[int, int] = {}
+        for a in accounts:
+            s = shard_of.get(a)
+            if s is not None:
+                counts[s] = counts.get(s, 0) + 1
+
+        # The objective is evaluated for every transaction (its target
+        # shard drives both placement of new accounts and migration).
+        target = best_shard(counts)
+        migrated = False
+        for a in accounts:
+            s = shard_of.get(a)
+            if s is None:
+                shard_of[a] = target
+            elif s != target and load[s] >= cap and not migrated:
+                # One state migration per transaction: the first account
+                # stuck in a full shard moves with the transaction.
+                shard_of[a] = target
+                migrated = True
+
+        shards = {shard_of[a] for a in accounts}
+        mu = len(shards)
+        w = 1.0 if mu == 1 else eta
+        for s in shards:
+            load[s] += w
+            count[s * base + mu] += 1
+    count = np.array(count, dtype=np.int64)
+    key = np.flatnonzero(count)
+    return shard_of, (key // base, key % base, count[key])

@@ -1,13 +1,38 @@
 """Tests for the three baseline allocators."""
+import importlib
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro import kernels
 from repro.baselines import hash_alloc, metis_like, shard_scheduler
+from repro.chain import EthParams, eth_transactions_pandas
 from repro.graph import adjacency_from_pandas
 from repro.metrics.blockchain import rollup
+from repro.txallo.a_txallo import LABEL_DTYPE
+from tests import reference
 from tests.conftest import label_digest, two_cliques_edges
 from tests.reference import graph_gamma
+
+scheduler_module = importlib.import_module("repro.baselines.shard_scheduler")
+
+
+def canon_and_messy_streams() -> tuple[pd.DataFrame, pd.DataFrame]:
+    """An 8-transaction stream, and the same stream with each account list
+    reversed plus its first account twice more, rows out of ``tx_id``
+    order. At k = 2, a repeated account 1 would win tx 3's affinity tie
+    and move account 5."""
+    rows = [
+        (0, 0, [1]), (1, 0, [2]), (2, 0, [3]), (3, 0, [1, 2, 5]),
+        (4, 1, [4, 6]), (5, 1, [3, 4, 6]), (6, 1, [2, 6]), (7, 1, [4, 7]),
+    ]
+    canon = pd.DataFrame(rows, columns=["tx_id", "block", "accounts"])
+    messy = canon.assign(
+        accounts=[list(reversed(a)) + a[:1] * 2 for a in canon["accounts"]]
+    ).iloc[[5, 0, 7, 2, 1, 6, 3, 4]]
+    return canon, messy
 
 
 class TestHashAlloc:
@@ -101,16 +126,19 @@ class TestShardScheduler:
     def test_every_account_mapped(self, tx_pdf):
         res, _ = self._run(tx_pdf)
         accounts = {a for lst in tx_pdf["accounts"] for a in lst}
-        assert set(res.shard_of) == accounts
+        assert res.accounts.tolist() == sorted(accounts)
+        assert len(res.shards) == len(res.accounts)
 
     def test_labels_in_range(self, tx_pdf):
         res, _ = self._run(tx_pdf, k=8)
-        assert all(0 <= s < 8 for s in res.shard_of.values())
+        assert res.shards.dtype == LABEL_DTYPE
+        assert 0 <= res.shards.min() and res.shards.max() < 8
 
     def test_deterministic(self, tx_pdf):
         a, _ = self._run(tx_pdf)
         b, _ = self._run(tx_pdf)
-        assert a.shard_of == b.shard_of
+        np.testing.assert_array_equal(a.accounts, b.accounts)
+        np.testing.assert_array_equal(a.shards, b.shards)
         (n_a, cross_a, frame_a), (n_b, cross_b, frame_b) = a.stats(), b.stats()
         assert (n_a, cross_a) == (n_b, cross_b)
         pd.testing.assert_frame_equal(frame_a, frame_b)
@@ -152,34 +180,26 @@ class TestShardScheduler:
     def test_single_shard(self, tx_pdf):
         res, lam = self._run(tx_pdf, k=1)
         assert res.stats()[:2] == (len(tx_pdf), 0)
-        assert set(res.shard_of.values()) == {0}
+        assert set(res.shards.tolist()) == {0}
 
     def test_pinned(self, tx_pdf):
         """Refactors must not move a placement or a streaming count on the
-        SMALL stream: ``shard_of`` in ascending account order, then the
+        SMALL stream: ``shards`` (ascending account order), then the
         ``(shard, mu, count)`` table."""
         res, _ = self._run(tx_pdf, k=8, eta=2.0)
-        shards = [res.shard_of[a] for a in sorted(res.shard_of)]
-        assert label_digest(np.concatenate([shards, *res.counts])) == (
+        assert label_digest(np.concatenate([res.shards, *res.counts])) == (
             "c2d3663355dfbd82cc3014dff9172be6b8429dc2e27be32a0f52de858e21cc58"
         )
 
     def test_reads_account_sets_in_tx_id_order(self):
         """Unsorted, repeated accounts and rows out of ``tx_id`` order
-        schedule exactly like the canonical stream. At k = 2, a repeated
-        account 1 would win tx 3's affinity tie and move account 5."""
-        rows = [
-            (0, 0, [1]), (1, 0, [2]), (2, 0, [3]), (3, 0, [1, 2, 5]),
-            (4, 1, [4, 6]), (5, 1, [3, 4, 6]), (6, 1, [2, 6]), (7, 1, [4, 7]),
-        ]
-        canon = pd.DataFrame(rows, columns=["tx_id", "block", "accounts"])
-        messy = canon.assign(
-            accounts=[list(reversed(a)) + a[:1] * 2 for a in canon["accounts"]]
-        ).iloc[[5, 0, 7, 2, 1, 6, 3, 4]]
+        schedule exactly like the canonical stream."""
+        canon, messy = canon_and_messy_streams()
         for k in (2, 3):
             a, _ = self._run(canon, k=k)
             b, _ = self._run(messy, k=k)
-            assert a.shard_of == b.shard_of
+            np.testing.assert_array_equal(a.accounts, b.accounts)
+            np.testing.assert_array_equal(a.shards, b.shards)
             for x, y in zip(a.counts, b.counts):
                 np.testing.assert_array_equal(x, y)
 
@@ -189,3 +209,45 @@ class TestShardScheduler:
         )
         with pytest.raises(ValueError, match="transaction 1 has no accounts"):
             self._run(bad, k=2)
+
+    @pytest.mark.parametrize("k", [0, -1, 32769])
+    def test_k_out_of_range_raises(self, tx_pdf, k):
+        with pytest.raises(ValueError, match=f"k={k} shards"):
+            shard_scheduler(tx_pdf, k, eta=2.0, lam=1.0)
+
+    def test_too_many_accounts_raises(self, monkeypatch):
+        canon, _ = canon_and_messy_streams()  # 7 accounts
+        monkeypatch.setattr(scheduler_module, "MAX_ACCOUNTS", 6)
+        with pytest.raises(ValueError, match="7 accounts do not fit"):
+            self._run(canon, k=2)
+
+    def test_kernel_out_of_memory_raises(self, monkeypatch):
+        canon, _ = canon_and_messy_streams()
+        monkeypatch.setattr(kernels, "lib", SimpleNamespace(shard_scheduler=lambda *args: -1))
+        with pytest.raises(MemoryError, match="shard_scheduler"):
+            self._run(canon, k=2)
+
+
+class TestSchedulerKernel:
+    """The compiled stream equals the Python loop of ``tests/reference.py``
+    exactly: every account's final shard and the ``(shard, mu, count)``
+    table."""
+
+    @pytest.fixture(scope="class")
+    def streams(self, tx_pdf):
+        _, messy = canon_and_messy_streams()
+        seed11 = eth_transactions_pandas(EthParams(sf=0.005, seed=11))
+        return {"small": tx_pdf, "messy": messy, "sf0.005-seed11": seed11}
+
+    @pytest.mark.parametrize("eta", [2.0, 6.0])
+    @pytest.mark.parametrize("k", [1, 2, 8, 20])
+    @pytest.mark.parametrize("stream", ["small", "messy", "sf0.005-seed11"])
+    def test_equals_reference(self, streams, stream, k, eta):
+        tx_pdf = streams[stream]
+        lam = len(tx_pdf) / k
+        res = shard_scheduler(tx_pdf, k, eta=eta, lam=lam)
+        shard_of, counts = reference.shard_scheduler(tx_pdf, k, eta=eta, lam=lam)
+        assert res.accounts.tolist() == sorted(shard_of)
+        assert res.shards.tolist() == [shard_of[a] for a in sorted(shard_of)]
+        for got, want in zip(res.counts, counts, strict=True):
+            np.testing.assert_array_equal(got, want)
