@@ -33,19 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.graph.adjacency import Adjacency, contract, csr
+from repro.graph.adjacency import CSR, Adjacency, contract
 
 IMBALANCE = 0.05  # part weight cap: (1 + IMBALANCE) x the even share
 REFINE_PASSES = 4  # refinement passes per level
 
 
-def _heavy_edge_matching(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    vw: np.ndarray,
-    max_vw: float,
-) -> np.ndarray:
+def _heavy_edge_matching(g: CSR, vw: np.ndarray, max_vw: float) -> np.ndarray:
     """Deterministic heavy-edge matching (``heavy_edge_matching`` in
     ``kernels.c``); returns coarse-node id per node.
 
@@ -54,22 +48,14 @@ def _heavy_edge_matching(
     enough for the initial partition to balance (without it, hub-centric
     transaction graphs collapse into one giant unsplittable supernode).
     """
-    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    n, *csr_ptrs = kernels.csr_args(g)
     cmap = np.empty(n, dtype=np.int64)
     ptr = kernels.ptr
     kernels.lib.heavy_edge_matching(n, *csr_ptrs, ptr(vw, n), max_vw, ptr(cmap, n))
     return cmap
 
 
-def _greedy_partition(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    vw: np.ndarray,
-    k: int,
-    cap: float,
-) -> np.ndarray:
+def _greedy_partition(g: CSR, vw: np.ndarray, k: int, cap: float) -> np.ndarray:
     """Initial k-way assignment on the coarsest graph.
 
     Greedy graph growing (METIS's GGGP): parts are grown one at a time
@@ -78,6 +64,7 @@ def _greedy_partition(
     reaches its weight target. The last part takes the remainder.
     Deterministic (stable tie-breaks toward the smaller node index).
     """
+    n, indptr, indices, weights = g.n, g.indptr, g.indices, g.weights
     labels = np.full(n, -1, dtype=np.int64)
     target = vw.sum() / k
     for part in range(k):
@@ -117,18 +104,10 @@ def _greedy_partition(
     return labels
 
 
-def _refine(
-    labels: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    vw: np.ndarray,
-    k: int,
-    cap: float,
-) -> np.ndarray:
+def _refine(labels: np.ndarray, g: CSR, vw: np.ndarray, k: int, cap: float) -> np.ndarray:
     """Boundary FM-style refinement (``refine`` in ``kernels.c``):
     positive-gain moves under the cap."""
-    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    n, *csr_ptrs = kernels.csr_args(g)
     labels = np.array(labels, dtype=np.int64)
     part_w = np.bincount(labels, weights=vw, minlength=k)  # ValueError if a label < 0
     ptr = kernels.ptr
@@ -149,26 +128,23 @@ def metis_like(adj: Adjacency, k: int) -> np.ndarray:
     cap = (1.0 + IMBALANCE) * vw.sum() / k
     target = max(8 * k, 64)
 
-    indptr, indices, weights = adj.indptr, adj.indices, adj.weights
-    ev, n = adj.ev, adj.n
-    # Each entry: (cmap to next level, this level's CSR + vertex weights).
-    levels: list[tuple[np.ndarray, ...]] = []
+    g = adj
+    # Each entry: (cmap to next level, this level's CSR and vertex weights).
+    levels: list[tuple[np.ndarray, CSR, np.ndarray]] = []
     max_vw = vw.sum() / (4.0 * k)  # supernodes stay well under the part cap
-    while n > target:
-        cmap = _heavy_edge_matching(indptr, indices, weights, vw, max_vw)
+    while g.n > target:
+        cmap = _heavy_edge_matching(g, vw, max_vw)
         nc = int(cmap.max()) + 1
-        if nc >= n:  # no contraction possible
+        if nc >= g.n:  # no contraction possible
             break
-        levels.append((cmap, indptr, indices, weights, vw))
-        ev, eu, ew, _ = contract(cmap, nc, ev, indices, weights)
-        indptr, indices, weights = csr(nc, ev, eu, ew)
+        levels.append((cmap, g, vw))
+        g, _ = contract(g, cmap, nc)
         vw = np.bincount(cmap, weights=vw, minlength=nc)
-        n = nc
 
-    labels = _greedy_partition(n, indptr, indices, weights, vw, k, cap)
-    labels = _refine(labels, indptr, indices, weights, vw, k, cap)
+    labels = _greedy_partition(g, vw, k, cap)
+    labels = _refine(labels, g, vw, k, cap)
 
     # Project back through the levels, refining at each.
-    for cmap, indptr, indices, weights, vw in reversed(levels):
-        labels = _refine(labels[cmap], indptr, indices, weights, vw, k, cap)
+    for cmap, g, vw in reversed(levels):
+        labels = _refine(labels[cmap], g, vw, k, cap)
     return labels

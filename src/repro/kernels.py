@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graph.adjacency import CSR
+
 SOURCE = Path(__file__).with_name("kernels.c")
 HEADER = SOURCE.with_suffix(".h")
 CC = "cc"
@@ -81,21 +83,14 @@ CTYPES = {
 }
 
 
-def csr_args(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> tuple:
-    """``(n, indptr, indices, weights)`` of a CSR as kernel arguments (int64
-    offsets, int32 neighbours, float64 weights), after checking the shape
-    and the neighbour range that the C code relies on."""
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    n = len(indptr) - 1
-    if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any():
-        raise ValueError("malformed CSR: indptr must start at 0 and not decrease")
-    if len(indices) and not 0 <= indices.min() <= indices.max() < n:
-        raise ValueError("CSR neighbour index out of range")
-    if n > np.iinfo(np.int32).max:
-        raise ValueError(f"{n} nodes do not fit the kernels' int32 neighbour indices")
-    indices = np.ascontiguousarray(indices, dtype=np.int32)
-    return n, ptr(indptr, n + 1), ptr(indices, indptr[-1]), ptr(weights, indptr[-1])
+def csr_args(g: CSR) -> tuple:
+    """``(n, indptr, indices, weights)`` of ``g`` as kernel arguments. A
+    :class:`~repro.graph.adjacency.CSR` was checked and frozen when it was
+    built, so this only makes pointers: O(1), whatever the graph's size."""
+    if not isinstance(g, CSR):
+        raise TypeError(f"kernel graphs are repro.graph.adjacency.CSR, not {type(g).__name__}")
+    n, m = g.n, len(g.indices)
+    return n, ptr(g.indptr, n + 1), ptr(g.indices, m), ptr(g.weights, m)
 
 
 def ptr(a: np.ndarray, n: int):

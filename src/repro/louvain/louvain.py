@@ -17,19 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.graph.adjacency import Adjacency, contract, csr
+from repro.graph.adjacency import CSR, Adjacency, contract
 
 MAX_LEVELS = 20  # coarsening levels
 MAX_SWEEPS = 20  # local-move sweeps per level
 
 
-def _sweep_until_stable(
-    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, deg: np.ndarray, m2: float
-) -> np.ndarray:
+def _sweep_until_stable(g: CSR, deg: np.ndarray, m2: float) -> np.ndarray:
     """Run at most ``MAX_SWEEPS`` local-move sweeps on one level
     (``louvain_sweep`` in ``kernels.c``); returns each node's label, the
     index of the node whose community it joined."""
-    n, *csr_ptrs = kernels.csr_args(indptr, indices, weights)
+    n, *csr_ptrs = kernels.csr_args(g)
     labels = np.empty(n, dtype=np.int64)
     ptr = kernels.ptr
     if kernels.lib.louvain_sweep(n, *csr_ptrs, ptr(deg, n), m2, MAX_SWEEPS, ptr(labels, n)):
@@ -46,23 +44,21 @@ def louvain(adj: Adjacency) -> np.ndarray:
     node's final label is the community, at the last level, of the
     supernode that holds it.
     """
-    ev, eu, ew = adj.ev, adj.indices, adj.weights
-    self_w = adj.self_w
+    g, self_w = adj, adj.self_w
     result = np.arange(adj.n, dtype=np.int64)
 
     for _ in range(MAX_LEVELS):
-        nn = len(self_w)
-        deg = np.bincount(ev, weights=ew, minlength=nn) + 2.0 * self_w
+        nn = g.n
+        deg = g.strength + 2.0 * self_w
         m2 = float(deg.sum())
         if m2 <= 0:
             break
-        indptr, indices, weights = csr(nn, ev, eu, ew)
-        labels = _sweep_until_stable(indptr, indices, weights, deg, m2)
+        labels = _sweep_until_stable(g, deg, m2)
         # Communities become supernodes; intra edges fold into self-loops.
         uniq, node_map = np.unique(labels, return_inverse=True)
-        ev, eu, ew, loop_w = contract(node_map, len(uniq), ev, eu, ew)
+        g, loop_w = contract(g, node_map, len(uniq))
         self_w = np.bincount(node_map, weights=self_w, minlength=len(uniq)) + loop_w / 2.0
         result = node_map[result]
-        if len(self_w) == nn:  # no node moved: a move never refills an emptied community
+        if g.n == nn:  # no node moved: a move never refills an emptied community
             break
     return result

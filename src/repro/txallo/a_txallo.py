@@ -18,9 +18,9 @@ clipped Λ that a move updates for its source and target shard only
 
 Cost per call: the sweeps touch V̂ and its neighbourhoods only, but the
 :class:`~repro.txallo.state.TxAlloState` set-up is still O(N+E) — a
-from-scratch (σ, Λ̂) in ``community_state``, the strengths s_v, and
-``csr_args``'s checks of the whole CSR — so a step's time grows with the
-history, unlike §V-C's O(|V̂|·k).
+from-scratch (σ, Λ̂) in ``community_state`` and the strengths s_v (the
+CSR was checked once, when the graph was built) — so a step's time grows
+with the history, unlike §V-C's O(|V̂|·k).
 """
 from __future__ import annotations
 

@@ -56,7 +56,7 @@ class TxAlloState:
         lam_q = clip_throughput(sigma, lam_hat, self.lam)
         self._labels, self._sig, self._lh, self._lam_q = labels, sigma, lam_hat, lam_q
         ptr = kernels.ptr
-        n, indptr, indices, weights = kernels.csr_args(adj.indptr, adj.indices, adj.weights)
+        n, indptr, indices, weights = kernels.csr_args(adj)
         # Each pointer keeps its array alive; the struct's copies of them do not.
         self._ptrs = {
             "indptr": indptr, "indices": indices, "weights": weights,

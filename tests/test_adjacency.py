@@ -3,8 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro import kernels
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.graph.adjacency import contract
+from repro.graph.adjacency import CSR, Adjacency, contract
 from tests.conftest import two_cliques_edges
 
 
@@ -37,14 +38,12 @@ class TestStructure:
         assert partners == {2, 3, 4}
 
     def test_float_weights_of_self_loops_only(self):
-        """A graph of self-loops alone, and contractions that fold every edge or
-        none into self-loops, have float64 weights (``np.bincount([])`` is int64)."""
+        """A graph of self-loops alone has float64 strengths (``np.bincount([])``
+        is int64); ``TestContract`` covers contractions that fold every edge
+        or none into self-loops."""
         loops = pd.DataFrame({"tx_id": [0, 1], "block": [0, 0], "accounts": [[1], [2]]})
         adj = adjacency_from_pandas(build_tx_graph_pandas(loops))
         assert adj.strength.dtype == np.float64
-        ev, eu = np.array([0, 1]), np.array([1, 0])
-        assert contract(np.zeros(2, int), 1, ev, eu, np.ones(2))[2].dtype == np.float64  # all loops
-        assert contract(np.arange(2), 2, ev, eu, np.ones(2))[3].dtype == np.float64  # no loop
 
     def test_csr_weights_match_edge_arrays(self, tiny_adj):
         # ``(ev, indices, weights)`` are the directed edge arrays: ``ev``
@@ -54,6 +53,113 @@ class TestStructure:
         assert tiny_adj.weights.sum() == pytest.approx(
             2.0 * (tiny_adj.total_weight - tiny_adj.self_w.sum())
         )
+
+
+# A valid 2-node CSR: one undirected edge 0-1, stored in both directions.
+VALID = dict(indptr=[0, 1, 2], indices=[1, 0], weights=[1.0, 1.0])
+
+
+class TestChecked:
+    """A ``CSR`` or ``Adjacency`` that exists has passed the checks the
+    kernels rely on, and cannot be changed afterwards."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(indptr=[1, 1, 2]),  # indptr does not start at 0
+            dict(indptr=[0, 2, 1], indices=[1], weights=[1.0]),  # decreasing indptr
+            dict(indices=[1]),  # len(indices) != indptr[-1]
+            dict(weights=[1.0, 1.0, 1.0]),  # len(weights) != indptr[-1]
+            dict(indices=[-1, 0]),  # neighbour below range
+            dict(indices=[2, 0]),  # neighbour n
+            dict(indptr=[[0, 1, 2]]),  # not 1-D
+        ],
+        ids=["indptr0", "decreasing", "indices_len", "weights_len", "neg", "eq_n", "2d"],
+    )
+    def test_malformed_csr_raises(self, bad):
+        with pytest.raises(ValueError):
+            CSR(**{**VALID, **bad})
+
+    @pytest.mark.parametrize(
+        "bad", [dict(nodes=[5]), dict(self_w=[0.0, 0.0, 0.0])], ids=["nodes", "self_w"]
+    )
+    def test_adjacency_field_lengths(self, bad):
+        with pytest.raises(ValueError):
+            Adjacency(**VALID, **{"nodes": [5, 9], "self_w": [0.0, 0.0], **bad})
+
+    def test_arrays_are_read_only(self, tiny_adj):
+        for name in ("indptr", "indices", "weights", "nodes", "self_w"):
+            a = getattr(tiny_adj, name)
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_coerces_kernel_dtypes(self):
+        g = Adjacency(
+            indptr=np.array([0, 1, 2], np.int32), indices=np.array([1, 0], np.int64),
+            weights=[1, 1], nodes=[5, 9], self_w=[0, 1],
+        )
+        dtypes = [g.indptr.dtype, g.indices.dtype, g.weights.dtype, g.nodes.dtype, g.self_w.dtype]
+        assert dtypes == [np.int64, np.int32, np.float64, np.int64, np.float64]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            (np.array([0, 1, 2]), np.array([1, 0], np.int32), np.ones(2)),
+            np.array([0, 1, 2]),
+        ],
+        ids=["tuple", "array"],
+    )
+    def test_kernels_take_only_a_checked_csr(self, raw):
+        with pytest.raises(TypeError):
+            kernels.csr_args(raw)
+
+
+def _random_graph(seed: int, n: int = 40, m: int = 120) -> Adjacency:
+    """Unique canonical pairs (some of them self-loops) with small integer
+    weights, so every float sum below is exact."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, (2, m))
+    pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), axis=0)
+    w = rng.integers(1, 5, len(pairs)).astype(float)
+    return adjacency_from_pandas(pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1], "weight": w}))
+
+
+def _dense(g: CSR) -> np.ndarray:
+    d = np.zeros((g.n, g.n))
+    d[g.ev, g.indices] = g.weights  # a checked CSR has no repeated (row, column) slot
+    return d
+
+
+class TestContract:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("nc", [1, 5, 17])
+    def test_equals_dense_product(self, seed, nc):
+        """The coarse CSR is Pᵀ·W·P off the diagonal and ``loop_w`` its
+        diagonal, where P is the node-to-coarse-node indicator matrix."""
+        g = _random_graph(seed)
+        cmap = np.random.default_rng(seed + 100).integers(0, nc, g.n)
+        p = np.zeros((g.n, nc))
+        p[np.arange(g.n), cmap] = 1.0
+        ref = p.T @ _dense(g) @ p
+        coarse, loop_w = contract(g, cmap, nc)
+        assert coarse.n == nc
+        np.testing.assert_array_equal(loop_w, np.diag(ref))
+        np.testing.assert_array_equal(_dense(coarse), ref - np.diag(np.diag(ref)))
+        key = coarse.ev * nc + coarse.indices
+        assert (np.diff(key) > 0).all()  # each row's neighbours ascend, no parallel edges
+        # nc = 1 folds every edge into a loop: the coarse weights are the
+        # bincount of an empty input, which numpy returns as int64.
+        assert coarse.weights.dtype == loop_w.dtype == np.float64
+
+    def test_identity_map_returns_input_bit_for_bit(self, adj):
+        """A graph built once needs no re-sort at any level."""
+        coarse, loop_w = contract(adj, np.arange(adj.n), adj.n)
+        for name in ("indptr", "indices", "weights"):
+            a, b = getattr(coarse, name), getattr(adj, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert loop_w.dtype == np.float64  # no loop: np.bincount([]) would be int64
+        assert not loop_w.any()
 
 
 class TestIndexOf:

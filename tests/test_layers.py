@@ -24,10 +24,15 @@ def _run_fresh(code: str) -> None:
     assert out.returncode == 0, out.stderr
 
 
-def _importers(module: str) -> set[str]:
-    pattern = re.compile(rf"^\s*(from|import) {module}\b", re.M)
+def _sources_matching(pattern: str) -> set[str]:
+    """The modules under ``src/repro`` whose source matches ``pattern``."""
+    regex = re.compile(pattern, re.M)
     files = (SRC / "repro").rglob("*.py")
-    return {p.relative_to(SRC / "repro").as_posix() for p in files if pattern.search(p.read_text())}
+    return {p.relative_to(SRC / "repro").as_posix() for p in files if regex.search(p.read_text())}
+
+
+def _importers(module: str) -> set[str]:
+    return _sources_matching(rf"^\s*(from|import) {module}\b")
 
 
 def test_core_loads_no_pyspark():
@@ -49,3 +54,11 @@ def test_every_job_imports_without_pyspark():
     code = f"import importlib, sys\nsys.path.insert(0, {str(ROOT / 'jobs')!r})\n"
     code += f"for m in {jobs!r}:\n    importlib.import_module(m)\n"
     _run_fresh(code + 'assert "pyspark" not in sys.modules\n')
+
+
+def test_graph_format_and_c_boundary_each_in_one_module():
+    """Only ``graph/adjacency.py`` constructs a ``CSR`` or an ``Adjacency``,
+    so every graph a kernel sees was built and checked there; only
+    ``kernels.py`` hands numpy buffers to C."""
+    assert _sources_matching(r"\b(CSR|Adjacency)\(") == {"graph/adjacency.py"}
+    assert _sources_matching(r"\bfrom_buffer\(") == {"kernels.py"}
