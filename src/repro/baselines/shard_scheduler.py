@@ -87,7 +87,7 @@ def shard_scheduler(
     if (tx_ids[1:] < tx_ids[:-1]).any():
         tx_pdf = tx_pdf.iloc[np.argsort(tx_ids, kind="stable")]
     offsets, flat = tx_incidence(tx_pdf)
-    accounts, dense = np.unique(flat, return_inverse=True)
+    dense, accounts = pd.factorize(flat, sort=True)
     if len(accounts) > MAX_ACCOUNTS:
         raise ValueError(f"{len(accounts)} accounts do not fit the kernel's int32 account ids")
     dense = dense.astype(np.int32)

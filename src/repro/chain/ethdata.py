@@ -27,10 +27,10 @@ SF<=0.01.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 _N_TX_PER_SF = 2_000_000
 _N_ACCT_PER_SF = 300_000
@@ -46,6 +46,10 @@ P_SELF = 0.01  # prob. of a self-loop tx
 P_MULTI = 0.03  # prob. of a multi-account (contract-like) tx
 ACCOUNTS_PER_COMMUNITY = 150
 
+# The stream's Arrow buffers come from the C allocator that numpy's arrays
+# use; Arrow's default pool (jemalloc) would keep freed pages for reuse.
+_POOL = pa.system_memory_pool()
+
 
 def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """The transaction→account incidence of a stream, as ``(offsets, accounts)``,
@@ -55,15 +59,25 @@ def tx_incidence(tx_pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     its account set A_Tx, sorted ascending and deduplicated. ``offsets``
     has length ``|T|+1``; ``accounts`` is flat int64 in row order.
 
-    Every transaction touches at least one account (Definition 2 gives it
-    total edge weight 1); a row with an empty list raises ``ValueError``.
+    The ``accounts`` column is read in one Arrow conversion, whether it is
+    the generator's Arrow list column or an object column of lists or
+    arrays. Every transaction touches at least one account (Definition 2
+    gives it total edge weight 1); a null or empty row raises
+    ``ValueError``.
     """
-    lists = tx_pdf["accounts"]
-    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-    if (lengths == 0).any():
-        tx_id = tx_pdf["tx_id"].iloc[int(np.argmin(lengths))]
+    col = tx_pdf["accounts"]
+    # An Arrow column's ``.to_numpy(object)`` would turn it back into lists.
+    data = col.array if isinstance(col.dtype, pd.ArrowDtype) else col.to_numpy(object)
+    lists = pa.array(data, type=pa.large_list(pa.int64()), memory_pool=_POOL)
+    if isinstance(lists, pa.ChunkedArray):
+        lists = lists.combine_chunks()
+    # ``value_lengths``/``flatten`` honour a sliced array; ``.offsets``/``.values``
+    # do not. A null row's length reads NaN, so it fails ``> 0`` as an empty one does.
+    lengths = lists.value_lengths().to_numpy(zero_copy_only=False)
+    if not (lengths > 0).all():
+        tx_id = tx_pdf["tx_id"].iloc[int(np.argmin(lengths > 0))]
         raise ValueError(f"transaction {tx_id} has no accounts")
-    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    flat = lists.flatten().to_numpy()
     return owner_sets(np.repeat(np.arange(len(lists)), lengths), flat, len(lists))
 
 
@@ -216,8 +230,11 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
     """Generate the transaction stream as a pandas DataFrame.
 
     Columns: ``tx_id`` (int64, == chronological order), ``block`` (int64,
-    non-decreasing), ``accounts`` (list[int64] — the deduplicated,
-    sorted account set A_Tx of the transaction).
+    non-decreasing), ``accounts`` (the deduplicated, sorted account set
+    A_Tx of the transaction, as ``pd.ArrowDtype(pa.list_(pa.int64()))``:
+    one offsets array and one flat int64 array, not one Python list per
+    row). Iterating the column still yields Python lists; ``tx_incidence``
+    reads its arrays without them.
     """
     p = params or EthParams()
     g = np.random.default_rng(p.seed)
@@ -255,10 +272,9 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
         np.concatenate([src, dst, extra_pool[:total_extra]]),
         n,
     )
-    # One shared int object per account id, not one per list entry.
-    flat = np.arange(p.n_accounts).astype(object)[flat].tolist()
-    bounds = offsets.tolist()
-    accounts = [flat[bounds[i] : bounds[i + 1]] for i in range(n)]
+    # Arrow's list offsets are int32; the checked cast raises on overflow.
+    offsets = pa.array(offsets, pa.int32(), memory_pool=_POOL)
+    accounts = pa.ListArray.from_arrays(offsets, pa.array(flat), pool=_POOL)
 
     txs_per_block = max(1, n // p.n_blocks)
     block = np.minimum(np.arange(n) // txs_per_block, p.n_blocks - 1)
@@ -266,6 +282,6 @@ def eth_transactions_pandas(params: EthParams | None = None) -> pd.DataFrame:
         {
             "tx_id": np.arange(n, dtype=np.int64),
             "block": block.astype(np.int64),
-            "accounts": accounts,
+            "accounts": pd.arrays.ArrowExtensionArray(accounts),
         }
     )

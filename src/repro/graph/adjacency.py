@@ -103,9 +103,10 @@ class Adjacency(CSR):
 
 
 def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
-    """Positions of ``accounts`` in the sorted id array ``nodes``; ``KeyError`` if absent."""
-    idx = np.searchsorted(nodes, accounts)
-    missing = (idx >= len(nodes)) | (nodes[np.minimum(idx, len(nodes) - 1)] != accounts)
+    """Positions of ``accounts`` in the unique id array ``nodes``, by one
+    hash lookup each; ``KeyError`` if absent."""
+    idx = pd.Index(nodes).get_indexer(accounts)
+    missing = idx < 0
     if missing.any():
         raise KeyError(f"accounts not in graph: {np.asarray(accounts)[missing][:5]}...")
     return idx

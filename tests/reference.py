@@ -140,6 +140,17 @@ def evaluate(
     return rollup(*stats, k=k, eta=eta, lam=lam)
 
 
+def index_of(nodes: np.ndarray, accounts: np.ndarray) -> np.ndarray:
+    """Positions of ``accounts`` in the sorted id array ``nodes`` by binary
+    search, as :func:`repro.graph.adjacency.index_of` finds them by hash;
+    ``KeyError`` if absent."""
+    idx = np.searchsorted(nodes, accounts)
+    missing = (idx >= len(nodes)) | (nodes[np.minimum(idx, len(nodes) - 1)] != accounts)
+    if missing.any():
+        raise KeyError(f"accounts not in graph: {np.asarray(accounts)[missing][:5]}...")
+    return idx
+
+
 def shard_scheduler(
     tx_pdf: pd.DataFrame, k: int, *, eta: float, lam: float
 ) -> tuple[dict[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -5,7 +5,8 @@ import pytest
 
 from repro import kernels
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.graph.adjacency import CSR, Adjacency, contract
+from repro.graph.adjacency import CSR, Adjacency, contract, index_of
+from tests import reference
 from tests.conftest import two_cliques_edges
 
 
@@ -174,6 +175,25 @@ class TestIndexOf:
     def test_missing_account_below_range_raises(self, tiny_adj):
         with pytest.raises(KeyError):
             tiny_adj.index_of(np.array([0]))
+
+    @pytest.mark.parametrize("key_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n_keys", [0, 1, 500])
+    def test_matches_binary_search(self, key_dtype, n_keys):
+        """The hash lookup gives the positions a binary search over the sorted ids gives."""
+        rng = np.random.default_rng(n_keys)
+        nodes = np.unique(rng.integers(0, 2**31 - 1, size=2_000))
+        keys = rng.choice(nodes, size=n_keys).astype(key_dtype)
+        got = index_of(nodes, keys)
+        want = reference.index_of(nodes, keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_missing_among_present_raises(self):
+        nodes = np.array([2, 5, 9], dtype=np.int64)
+        with pytest.raises(KeyError, match="7"):
+            index_of(nodes, np.array([9, 7, 2], dtype=np.int32))
+        with pytest.raises(KeyError):
+            index_of(np.empty(0, dtype=np.int64), np.array([1]))
 
 
 class TestTwoCliques:

@@ -1,8 +1,10 @@
 """§IV-A: every miner derives the identical mapping without coordination.
 
-The transaction graph, and the G-/A-TxAllo labels computed from it, must
-not depend on the backend (Spark or pandas), on Spark's shuffle-partition
-count or on the order of the stream's rows.
+The transaction graph, the G-/A-TxAllo labels computed from it and the
+evaluation of an allocation must not depend on the backend (Spark or
+pandas), on Spark's shuffle-partition count, on the order of the stream's
+rows or on how its ``accounts`` column is held (the generator's Arrow
+lists or Python lists).
 """
 import dataclasses
 
@@ -10,18 +12,29 @@ import numpy as np
 import pytest
 
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
-from repro.spark import build_tx_graph, to_adjacency
+from repro.metrics.pandas_eval import evaluate_pandas
+from repro.spark import alloc_to_df, build_tx_graph, spark_transactions, to_adjacency
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
+from tests.reference import evaluate
 
 K, ETA = 8, 2.0
 PARTITIONS = (1, 7, 64)
 
 
 @pytest.fixture(scope="module")
-def graphs(spark, tx_df, tx_pdf):
+def object_lists(spark, tx_pdf):
+    """The SMALL stream with Python lists in ``accounts``, as pandas and Spark frames."""
+    pdf = tx_pdf.assign(accounts=[list(a) for a in tx_pdf["accounts"]])
+    return pdf, spark_transactions(spark, pdf)
+
+
+@pytest.fixture(scope="module")
+def graphs(spark, tx_df, tx_pdf, object_lists):
     """Name → Adjacency of the SMALL stream, built every supported way."""
     out = {"pandas": adjacency_from_pandas(build_tx_graph_pandas(tx_pdf))}
+    out["pandas, object lists"] = adjacency_from_pandas(build_tx_graph_pandas(object_lists[0]))
+    out["spark, object lists"] = to_adjacency(build_tx_graph(object_lists[1]))
     shuffled = tx_pdf.sample(frac=1.0, random_state=3).reset_index(drop=True)
     out["pandas, rows shuffled"] = adjacency_from_pandas(build_tx_graph_pandas(shuffled))
     # Adaptive execution would coalesce the shuffle partitions; keep each count.
@@ -71,3 +84,24 @@ def test_a_txallo_labels_identical(graphs, tx_pdf):
     ref = labels["pandas"]
     for name, got in labels.items():
         np.testing.assert_array_equal(got, ref, err_msg=name)
+
+
+def test_evaluation_identical(spark, graphs, tx_pdf, tx_df, object_lists):
+    """One G-TxAllo allocation scored by both evaluators from both column forms."""
+    adj = graphs["pandas"]
+    lam = len(tx_pdf) / K
+    labels = g_txallo(adj, k=K, eta=ETA, lam=lam)
+    alloc_df = alloc_to_df(spark, adj, [labels])
+    pdf, df = object_lists
+    kw = dict(k=K, eta=ETA, lam=lam)
+    got = {
+        "pandas, arrow": evaluate_pandas(tx_pdf, labels, accounts=adj.nodes, **kw),
+        "pandas, object lists": evaluate_pandas(pdf, labels, accounts=adj.nodes, **kw),
+        "spark, arrow": evaluate(tx_df, alloc_df, **kw),
+        "spark, object lists": evaluate(df, alloc_df, **kw),
+    }
+    ref = got["pandas, arrow"]
+    for name, m in got.items():
+        for f in dataclasses.fields(ref):
+            a, b = getattr(m, f.name), getattr(ref, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, f.name)

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.chain import EthParams, eth_transactions_pandas
@@ -92,6 +93,38 @@ class TestIncidence:
     def test_key_wider_than_int64_rejected(self):
         pdf = pd.DataFrame({"tx_id": [0, 1, 2], "accounts": [[0, 2**62], [1], [2]]})
         with pytest.raises(ValueError, match="more than an int64 holds"):
+            tx_incidence(pdf)
+
+    def test_column_forms_read_alike(self, tx_pdf):
+        """The generator's Arrow column (one chunk or two), the same rows as
+        ndarrays, unsorted with repeats, and a row slice all read as the
+        object-list frame does."""
+        as_lists = tx_pdf.assign(accounts=[list(a) for a in tx_pdf["accounts"]])
+        want = tx_incidence(as_lists)
+        messy = [a[::-1] + a[:1] for a in as_lists["accounts"]]
+        forms = {
+            "arrow": tx_pdf,
+            "arrow, two chunks": pd.concat([tx_pdf.iloc[:777], tx_pdf.iloc[777:]]),
+            "ndarrays": tx_pdf.assign(accounts=[np.array(a) for a in as_lists["accounts"]]),
+            "unsorted, repeats": tx_pdf.assign(accounts=messy),
+        }
+        assert isinstance(tx_pdf["accounts"].dtype, pd.ArrowDtype)
+        for name, frame in forms.items():
+            for got, exp in zip(tx_incidence(frame), want):
+                np.testing.assert_array_equal(got, exp, err_msg=name)
+        a, b = 1_000, 2_345
+        sliced = tx_incidence(as_lists.iloc[a:b])
+        # A slice's Arrow buffers still hold every row; only the slice may be read.
+        for got, exp in zip(tx_incidence(tx_pdf.iloc[a:b]), sliced):
+            np.testing.assert_array_equal(got, exp)
+        assert sliced[0][-1] == want[0][b] - want[0][a]
+
+    @pytest.mark.parametrize("arrow", [False, True])
+    def test_null_row_rejected(self, arrow):
+        pdf = pd.DataFrame({"tx_id": [0, 1, 2], "accounts": [[1, 2], None, [3]]})
+        if arrow:
+            pdf["accounts"] = pdf["accounts"].astype(pd.ArrowDtype(pa.list_(pa.int64())))
+        with pytest.raises(ValueError, match="transaction 1 has no accounts"):
             tx_incidence(pdf)
 
     def test_matches_generated_lists(self, tx_pdf):

@@ -3,7 +3,9 @@
 TxAllo runs on the driver, deterministic and sequential (paper §IV-A), and
 Spark carries only the bulk dataflow around it (DESIGN.md §5). So of the
 modules under ``src/repro`` only ``spark.py`` imports pyspark, and none
-imports DuckDB, which only the tests' oracle uses.
+imports DuckDB, which only the tests' oracle uses. Likewise each data
+format has one owner: the stream's Arrow column, the CSR and the C
+boundary.
 """
 import os
 import re
@@ -54,6 +56,13 @@ def test_every_job_imports_without_pyspark():
     code = f"import importlib, sys\nsys.path.insert(0, {str(ROOT / 'jobs')!r})\n"
     code += f"for m in {jobs!r}:\n    importlib.import_module(m)\n"
     _run_fresh(code + 'assert "pyspark" not in sys.modules\n')
+
+
+def test_stream_format_in_one_module():
+    """The transaction stream's ``accounts`` column is Arrow, and
+    ``chain/ethdata.py`` alone builds and reads it; every other module
+    gets the stream's incidence as numpy arrays from ``tx_incidence``."""
+    assert _importers("pyarrow") == {"chain/ethdata.py"}
 
 
 def test_graph_format_and_c_boundary_each_in_one_module():
