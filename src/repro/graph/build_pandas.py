@@ -12,9 +12,9 @@ Integer counts add exactly, so a table merged step by step
 the order of its rows. :func:`fold_tx_counts` is the only place weights
 are made: per pair, in ascending ``n``,
 ``w = Σ_n float(2·c_n) / float(n·(n−1))``, or ``float(c_1)`` for the
-self-loop. The Spark builder (:func:`repro.spark.build_tx_graph`)
-counts the same keys and is folded by the same function, so both builders
-give the same weights bit for bit at any partition count.
+self-loop. The Spark builder (:func:`repro.spark.build_tx_graph`) runs
+:func:`count_tx_edges` on each batch of the stream and sums the counts,
+so it folds the same table into the same weights at any partitioning.
 
 The adaptive simulation (paper Figs. 9-10) keeps a count table across
 steps and merges in only each step's counts; a Spark job per step would

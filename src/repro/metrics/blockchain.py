@@ -3,8 +3,8 @@ counts of transactions per (shard, μ), μ(Tx) being the number of shards a
 transaction involves: :func:`shard_stats` folds them per shard (intra and
 cross counts, ``Λ̂_i = Σ_{Tx∈T_i} 1/μ(Tx)``) and :func:`rollup` adds the
 workload ``σ_i = |T_i^I| + η|T_i^C|`` and the scalar metrics of
-:mod:`repro.metrics.formulas`. The Spark query, the pandas evaluator and
-the Shard Scheduler all end here.
+:mod:`repro.metrics.formulas`. The one evaluator (``span_counts``, on
+the driver or per Spark batch) and the Shard Scheduler both end here.
 """
 from __future__ import annotations
 
@@ -50,8 +50,8 @@ def shard_stats(shard: np.ndarray, mu: np.ndarray, count: np.ndarray) -> Stats:
     C_1``, in integers. ``frame`` has one row per shard present:
     ``(shard, n_intra, n_cross, lam_hat)`` with ``n_intra = c_{s,1}``,
     ``n_cross = Σ_{μ>1} c_{s,μ}`` and, §III-B's redundant-counting rule,
-    ``Λ̂_s = Σ_μ c_{s,μ}/μ`` added in ascending μ: the one fold of both
-    evaluators and the Shard Scheduler, so their Λ̂ agree bit for bit.
+    ``Λ̂_s = Σ_μ c_{s,μ}/μ`` added in ascending μ: the one fold of the
+    evaluator and the Shard Scheduler, so their Λ̂ agree bit for bit.
     """
     c_mu = np.zeros(int(mu.max(initial=1)) + 1, dtype=np.int64)
     np.add.at(c_mu, mu, count)

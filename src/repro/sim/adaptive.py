@@ -26,9 +26,9 @@ add exactly and the fold depends on the counts alone, so the kept graph
 :func:`repro.graph.build_pandas.build_tx_graph_pandas` of the accumulated
 stream bit for bit.
 
-The per-step dataflow is pandas (equivalence-tested mirrors of the Spark
-builders) because a Spark job per step would dominate the measured
-sub-second A-TxAllo run times — see DESIGN.md §5.
+Each step runs the graph counter and the evaluator that Spark runs per
+batch on the driver, because a Spark job per step would dominate the
+measured sub-second A-TxAllo run times — see DESIGN.md §5.
 """
 from __future__ import annotations
 

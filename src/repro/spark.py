@@ -4,8 +4,9 @@ graph count query, the evaluation query and the T1-T6 sweep.
 TxAllo is a deterministic, sequential allocator that each miner runs on
 its own (paper §IV-A), so Spark carries only the bulk dataflow around it
 (DESIGN.md §5), and the rest of ``repro`` imports no pyspark. Both
-queries aggregate integers, which no partitioning can reorder; the
-driver folds the counts with the functions the pandas paths use.
+queries run the pandas path's own counter on each batch of the stream
+and sum its integer counts, which no partitioning can reorder; the
+driver folds the sums with the functions the pandas paths use.
 """
 from __future__ import annotations
 
@@ -18,9 +19,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+import repro
+from repro.chain.ethdata import tx_incidence
 from repro.graph.adjacency import Adjacency, adjacency_from_pandas
-from repro.graph.build_pandas import fold_tx_counts
+from repro.graph.build_pandas import count_tx_edges, fold_tx_counts
 from repro.metrics.blockchain import AllocationMetrics, Stats, rollup, shard_stats
+from repro.metrics.pandas_eval import span_counts
 from repro.sim.runner import ETA_AWARE, METHODS, allocate
 
 TX_SCHEMA = T.StructType(
@@ -37,9 +41,10 @@ def session(app: str) -> SparkSession:
 
     ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
     (default 8g; the test conftest sets its own) go into
-    ``PYSPARK_SUBMIT_ARGS``, which the JVM reads at launch only.
-    Broadcast joins are disabled so the graph build and metric joins
-    exercise shuffle paths.
+    ``PYSPARK_SUBMIT_ARGS``, which the JVM reads at launch only. The
+    Python workers that run the per-batch counters get the directory that
+    holds ``repro`` on their path, since a driver's ``sys.path`` does not
+    reach them.
     """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -50,9 +55,9 @@ def session(app: str) -> SparkSession:
     )
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.executorEnv.PYTHONPATH", os.path.dirname(os.path.dirname(repro.__file__)))
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
@@ -68,11 +73,31 @@ def spark_transactions(spark: SparkSession, tx_pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(tx_pdf, schema=TX_SCHEMA)
 
 
+# -- the per-batch counters --------------------------------------------------
+
+
+def _summed(tx_df: DataFrame, counter, columns: tuple[str, ...]) -> DataFrame:
+    """``counter``'s count arrays of each Arrow batch of ``tx_df``, named
+    ``columns`` (the last is ``count``), summed per key by Spark."""
+
+    def counts(batches: Iterable[pd.DataFrame]) -> Iterable[pd.DataFrame]:
+        for batch in batches:
+            yield pd.DataFrame(dict(zip(columns, counter(batch))))
+
+    return (
+        tx_df.select("tx_id", "accounts")
+        .mapInPandas(counts, ", ".join(f"{c} long" for c in columns))
+        .groupBy(*columns[:-1])
+        .agg(F.sum("count").alias("count"))
+    )
+
+
 # -- transaction graph (paper §III-C, Definition 2) ----------------------------
 #
-# Spark counts transactions per ``(src, dst, n)`` with ``n = |A_Tx|``; the
-# driver folds the counts into Definition 2's weights with
-# :func:`repro.graph.build_pandas.fold_tx_counts`, as the pandas builder does.
+# The pandas counter :func:`repro.graph.build_pandas.count_tx_edges` counts
+# each batch per ``(src, dst, n)``; the driver folds the sums into
+# Definition 2's weights with :func:`repro.graph.build_pandas.fold_tx_counts`,
+# as the pandas builder does.
 
 
 def build_tx_graph(tx_df: DataFrame) -> DataFrame:
@@ -80,36 +105,8 @@ def build_tx_graph(tx_df: DataFrame) -> DataFrame:
 
     ``src <= dst`` always; ``src == dst`` rows are self-loops (``n = 1``).
     :func:`collect_tx_graph` folds the counts into weighted edges.
-    Implementation: each transaction's accounts are deduplicated, sorted
-    and exploded with their position; a position self-join then yields the
-    ``C(n, 2)`` unordered pairs (``pos_a < pos_b`` implies
-    ``account_a < account_b``), and the one self-pair of a single-account
-    transaction, as ``np.triu_indices(1, 0)`` does in
-    :func:`repro.graph.build_pandas.count_tx_edges`.
     """
-    canon = tx_df.withColumn("accounts", F.array_sort(F.array_distinct("accounts")))
-    acc = canon.select(
-        "tx_id",
-        F.size("accounts").alias("n_acct"),
-        F.posexplode("accounts").alias("pos", "account"),
-    )
-    a = acc.alias("a")
-    b = acc.alias("b")
-    return (
-        a.join(
-            b,
-            on=[
-                F.col("a.tx_id") == F.col("b.tx_id"),
-                (F.col("a.pos") < F.col("b.pos")) | (F.col("a.n_acct") == 1),
-            ],
-        )
-        .groupBy(
-            F.col("a.account").alias("src"),
-            F.col("b.account").alias("dst"),
-            F.col("a.n_acct").alias("n"),
-        )
-        .count()
-    )
+    return _summed(tx_df, count_tx_edges, ("src", "dst", "n", "count"))
 
 
 def collect_tx_graph(counts_df: DataFrame) -> pd.DataFrame:
@@ -133,34 +130,41 @@ def to_adjacency(counts_df: DataFrame) -> Adjacency:
 
 # -- evaluation (paper §III-A/B) -----------------------------------------------
 #
-# Explode → join → two-level aggregation over every allocation of a sweep at
-# once; only the per-(alloc, shard, μ) counts (at most k·max μ rows per
-# allocation) are collected.
+# Every allocation of a sweep at once: the pandas evaluator's
+# :func:`repro.metrics.pandas_eval.span_counts` counts each batch per
+# (alloc, shard, μ) against the label matrix, which travels in the task
+# closure; at most k·max μ rows per allocation are collected.
 
 
-def shard_mu_counts(tx_df: DataFrame, alloc_df: DataFrame) -> DataFrame:
-    """Transactions per ``(alloc, shard, mu)`` for every allocation of a
-    stacked ``(alloc, account, shard)`` frame, in one query: a transaction
-    of span μ counts once in each of its μ shards. ``alloc_df`` must cover
-    every account of ``tx_df`` (inner join; ``sweep`` checks the count).
+def shard_mu_counts(tx_df: DataFrame, nodes: np.ndarray, labels) -> DataFrame:
+    """Transactions per ``(alloc, shard, mu)`` under each row of the
+    ``(n_alloc, len(nodes))`` label matrix ``labels``, in one query: a
+    transaction of span μ counts once in each of its μ shards.
+    ``labels[a, i]`` is the shard of account ``nodes[i]`` in allocation
+    ``a``. Accounts outside ``nodes`` are left out of their transactions,
+    and a transaction with none inside is not counted (``sweep`` checks
+    the count).
     """
-    exploded = tx_df.select("tx_id", F.explode("accounts").alias("account"))
-    joined = exploded.join(alloc_df, on="account", how="inner")
-    spans = joined.groupBy("alloc", "tx_id").agg(F.collect_set("shard").alias("shards"))
-    per_shard = spans.select(
-        "alloc", F.size("shards").alias("mu"), F.explode("shards").alias("shard")
-    )
-    return per_shard.groupBy("alloc", "shard", "mu").count()
+    if np.max(labels, initial=0) > np.iinfo(np.int16).max:
+        raise ValueError("shard labels must fit an int16")
+    labels = np.array(labels, dtype=np.int16, ndmin=2)
+
+    def spans(batch: pd.DataFrame):
+        offsets, accounts = tx_incidence(batch)
+        placed = np.isin(accounts, nodes)  # an unplaced account leaves its transaction
+        return span_counts(np.cumsum(np.r_[0, placed])[offsets], accounts[placed], nodes, labels)
+
+    return _summed(tx_df, spans, ("alloc", "shard", "mu", "count"))
 
 
-def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> dict[int, Stats]:
+def collect_stats(tx_df: DataFrame, nodes: np.ndarray, labels) -> dict[int, Stats]:
     """One Spark action: :func:`shard_mu_counts` collected by one
     ``toPandas`` and folded per allocation by :func:`shard_stats`, giving
     ``{alloc: (n_txs, n_cross, per-shard stats frame)}``; an allocation
     that places no account of the stream has no entry. η only scales the
     cross-transaction workload in the rollup, so a sweep over η reuses
     this result (see :func:`sweep`)."""
-    counts = shard_mu_counts(tx_df, alloc_df).toPandas()
+    counts = shard_mu_counts(tx_df, nodes, labels).toPandas()
     return {
         int(alloc): shard_stats(*(rows[c].to_numpy(np.int64) for c in ("shard", "mu", "count")))
         for alloc, rows in counts.groupby("alloc")
@@ -171,19 +175,6 @@ def collect_stats(tx_df: DataFrame, alloc_df: DataFrame) -> dict[int, Stats]:
 #
 # The transaction-level ``scheduler`` is scored on its streaming statistics,
 # every account mapping by one Spark job; both give a ``shard_stats`` triple.
-
-
-def alloc_to_df(spark: SparkSession, adj: Adjacency, labels_list: list[np.ndarray]) -> DataFrame:
-    """Stack label arrays as one Spark allocation DataFrame
-    ``(alloc, account, shard)``; allocation ``i`` is ``labels_list[i]``."""
-    pdf = pd.DataFrame(
-        {
-            "alloc": np.repeat(np.arange(len(labels_list), dtype=np.int64), adj.n),
-            "account": np.tile(adj.nodes.astype(np.int64), len(labels_list)),
-            "shard": np.concatenate([np.asarray(x, dtype=np.int64) for x in labels_list]),
-        }
-    )
-    return spark.createDataFrame(pdf)
 
 
 def _metrics_row(method: str, k: int, eta: float, secs: float, m: AllocationMetrics) -> dict:
@@ -233,8 +224,7 @@ def sweep(
     stats = [res.stream_stats for *_, res in runs]
     maps = [i for i, triple in enumerate(stats) if triple is None]
     if maps:
-        labels = [runs[i][-1].labels for i in maps]
-        stacked = collect_stats(tx_df, alloc_to_df(spark, adj, labels))
+        stacked = collect_stats(tx_df, adj.nodes, [runs[i][-1].labels for i in maps])
         for alloc, i in enumerate(maps):
             stats[i] = stacked.get(alloc)
 

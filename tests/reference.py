@@ -129,14 +129,15 @@ def modularity(adj: Adjacency, labels: np.ndarray) -> float:
 
 
 def evaluate(
-    tx_df, alloc_df, *, k: int, eta: float, lam: float | None = None
+    tx_df, accounts, labels, *, k: int, eta: float, lam: float | None = None
 ) -> AllocationMetrics:
-    """Evaluate the one allocation of ``alloc_df`` on a stream (Spark path).
+    """Evaluate one allocation on a stream (Spark path): ``labels[i]`` is
+    the shard of account ``accounts[i]``.
 
     ``lam`` defaults to the paper's setting λ = |T|/k (§VI-B1), under
     which a perfectly balanced all-intra allocation has Λ/λ = k.
     """
-    (stats,) = collect_stats(tx_df, alloc_df).values()
+    (stats,) = collect_stats(tx_df, accounts, [labels]).values()
     return rollup(*stats, k=k, eta=eta, lam=lam)
 
 

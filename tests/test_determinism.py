@@ -2,10 +2,11 @@
 
 The transaction graph, the G-/A-TxAllo labels computed from it and the
 evaluation of an allocation must not depend on the backend (Spark or
-pandas), on Spark's shuffle-partition count, on the order of the stream's
-rows or on how its ``accounts`` column is held (the generator's Arrow
-lists or Python lists).
+pandas), on how Spark splits the stream into input partitions and on its
+shuffle-partition count, on the order of the stream's rows or on how its
+``accounts`` column is held (the generator's Arrow lists or Python lists).
 """
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.pandas_eval import evaluate_pandas
-from repro.spark import alloc_to_df, build_tx_graph, spark_transactions, to_adjacency
+from repro.spark import build_tx_graph, spark_transactions, to_adjacency
 from repro.txallo import a_txallo, g_txallo
 from repro.txallo.a_txallo import map_prev_labels
 from tests.reference import evaluate
@@ -29,6 +30,21 @@ def object_lists(spark, tx_pdf):
     return pdf, spark_transactions(spark, pdf)
 
 
+@contextlib.contextmanager
+def shuffle_partitions(spark, p: int):
+    """Run Spark queries with ``p`` shuffle partitions; adaptive execution
+    would coalesce them, so it is switched off meanwhile."""
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    before = {key: spark.conf.get(key) for key in keys}
+    try:
+        spark.conf.set(keys[0], str(p))
+        spark.conf.set(keys[1], "false")
+        yield
+    finally:
+        for key, value in before.items():
+            spark.conf.set(key, value)
+
+
 @pytest.fixture(scope="module")
 def graphs(spark, tx_df, tx_pdf, object_lists):
     """Name → Adjacency of the SMALL stream, built every supported way."""
@@ -37,17 +53,10 @@ def graphs(spark, tx_df, tx_pdf, object_lists):
     out["spark, object lists"] = to_adjacency(build_tx_graph(object_lists[1]))
     shuffled = tx_pdf.sample(frac=1.0, random_state=3).reset_index(drop=True)
     out["pandas, rows shuffled"] = adjacency_from_pandas(build_tx_graph_pandas(shuffled))
-    # Adaptive execution would coalesce the shuffle partitions; keep each count.
-    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
-    before = {key: spark.conf.get(key) for key in keys}
-    try:
-        spark.conf.set(keys[1], "false")
-        for p in PARTITIONS:
-            spark.conf.set(keys[0], str(p))
+    for p in PARTITIONS:
+        with shuffle_partitions(spark, p):
             out[f"spark, {p} partitions"] = to_adjacency(build_tx_graph(tx_df))
-    finally:
-        for key, value in before.items():
-            spark.conf.set(key, value)
+            out[f"spark, {p} input partitions"] = to_adjacency(build_tx_graph(tx_df.repartition(p)))
     return out
 
 
@@ -87,19 +96,22 @@ def test_a_txallo_labels_identical(graphs, tx_pdf):
 
 
 def test_evaluation_identical(spark, graphs, tx_pdf, tx_df, object_lists):
-    """One G-TxAllo allocation scored by both evaluators from both column forms."""
+    """One G-TxAllo allocation scored by both evaluators from both column
+    forms, and by Spark at every input and shuffle partition count."""
     adj = graphs["pandas"]
     lam = len(tx_pdf) / K
     labels = g_txallo(adj, k=K, eta=ETA, lam=lam)
-    alloc_df = alloc_to_df(spark, adj, [labels])
     pdf, df = object_lists
     kw = dict(k=K, eta=ETA, lam=lam)
     got = {
         "pandas, arrow": evaluate_pandas(tx_pdf, labels, accounts=adj.nodes, **kw),
         "pandas, object lists": evaluate_pandas(pdf, labels, accounts=adj.nodes, **kw),
-        "spark, arrow": evaluate(tx_df, alloc_df, **kw),
-        "spark, object lists": evaluate(df, alloc_df, **kw),
+        "spark, arrow": evaluate(tx_df, adj.nodes, labels, **kw),
+        "spark, object lists": evaluate(df, adj.nodes, labels, **kw),
     }
+    for p in PARTITIONS:
+        with shuffle_partitions(spark, p):
+            got[f"spark, {p} partitions"] = evaluate(tx_df.repartition(p), adj.nodes, labels, **kw)
     ref = got["pandas, arrow"]
     for name, m in got.items():
         for f in dataclasses.fields(ref):

@@ -182,7 +182,7 @@ PAIR_COUNTS_SQL = """
 
 class TestOracle:
     def test_pair_aggregation_vs_duckdb(self, spark, tiny_df):
-        """The Spark pair-join + count equals the same SQL in DuckDB."""
+        """The Spark counts, summed over batches, equal the same counts in DuckDB SQL."""
         counts = build_tx_graph(tiny_df).select("src", "dst", "n", "count")
         assert_equivalent(counts, PAIR_COUNTS_SQL, acc=exploded_accounts(tiny_tx_pdf()))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.runner import allocate
-from repro.spark import alloc_to_df, sweep
+from repro.spark import sweep
 from tests.reference import evaluate
 
 
@@ -66,22 +66,21 @@ class TestPaperShape:
 
 
 class TestThroughputScaling:
-    def test_throughput_grows_with_k(self, spark, tx_df, tx_pdf, adj):
+    def test_throughput_grows_with_k(self, tx_df, tx_pdf, adj):
         """Fig. 5: Λ/λ grows ~linearly in k for TxAllo."""
         n = tx_df.count()
         vals = []
         for k in (2, 4, 8):
             res = allocate("txallo", adj, k=k, eta=2.0, lam=n / k)
-            m = evaluate(tx_df, alloc_to_df(spark, adj, [res.labels]), k=k, eta=2.0)
+            m = evaluate(tx_df, adj.nodes, res.labels, k=k, eta=2.0)
             vals.append(m.norm_throughput)
         assert vals[0] < vals[1] < vals[2]
 
-    def test_throughput_decreases_with_eta(self, spark, tx_df, adj):
+    def test_throughput_decreases_with_eta(self, tx_df, adj):
         """Fig. 5: larger η lowers everyone's throughput (random here)."""
         res = allocate("random", adj, k=8, eta=2.0, lam=tx_df.count() / 8)
-        adf = alloc_to_df(spark, adj, [res.labels])
-        t2 = evaluate(tx_df, adf, k=8, eta=2.0).norm_throughput
-        t10 = evaluate(tx_df, adf, k=8, eta=10.0).norm_throughput
+        t2 = evaluate(tx_df, adj.nodes, res.labels, k=8, eta=2.0).norm_throughput
+        t10 = evaluate(tx_df, adj.nodes, res.labels, k=8, eta=10.0).norm_throughput
         assert t10 < t2
 
 

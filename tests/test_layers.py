@@ -18,10 +18,11 @@ SRC = ROOT / "src"
 CORE = ("chain", "graph", "metrics", "sim", "baselines", "txallo", "louvain")
 
 
-def _run_fresh(code: str) -> None:
-    """Run ``code`` in a fresh interpreter with ``src`` on the path; it must exit 0."""
+def _run_fresh(code: str, env: dict | None = None) -> None:
+    """Run ``code`` in a fresh interpreter, in ``env`` or by default with
+    ``src`` on ``PYTHONPATH``; it must exit 0."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = env or {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
@@ -71,3 +72,22 @@ def test_graph_format_and_c_boundary_each_in_one_module():
     ``kernels.py`` hands numpy buffers to C."""
     assert _sources_matching(r"\b(CSR|Adjacency)\(") == {"graph/adjacency.py"}
     assert _sources_matching(r"\bfrom_buffer\(") == {"kernels.py"}
+
+
+def test_spark_workers_find_repro_without_pythonpath():
+    """Spark's Python workers run repro's counters and import ``repro``,
+    though only the driver's ``sys.path`` names it, as in the jobs."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    code = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import pandas as pd
+from repro.spark import collect_stats, session, spark_transactions
+
+spark = session("fresh")
+pdf = pd.DataFrame({{"tx_id": [0, 1, 2], "block": 0, "accounts": [[1, 2], [3], [2, 3]]}})
+(triple,) = collect_stats(spark_transactions(spark, pdf), [1, 2, 3], [[0, 0, 1]]).values()
+assert triple[:2] == (3, 1), triple
+spark.stop()
+"""
+    _run_fresh(code, env)

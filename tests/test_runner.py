@@ -6,7 +6,7 @@ from repro.baselines import hash_alloc
 from repro.graph import adjacency_from_pandas, build_tx_graph_pandas
 from repro.metrics.blockchain import rollup
 from repro.sim.runner import METHODS, AllocResult, allocate
-from repro.spark import alloc_to_df, sweep
+from repro.spark import sweep
 from tests.reference import evaluate
 
 
@@ -39,23 +39,6 @@ class TestAllocate:
         assert res.stream_stats is None
 
 
-class TestAllocToDf:
-    def test_schema_and_rows(self, spark, adj):
-        labels = [np.zeros(adj.n, dtype=np.int64), hash_alloc(adj.nodes, 4)]
-        df = alloc_to_df(spark, adj, labels)
-        assert [(f.name, f.dataType.simpleString()) for f in df.schema.fields] == [
-            ("alloc", "bigint"),
-            ("account", "bigint"),
-            ("shard", "bigint"),
-        ]
-        got = df.toPandas()
-        assert len(got) == 2 * adj.n
-        for alloc, want in enumerate(labels):
-            rows = got[got["alloc"] == alloc]
-            np.testing.assert_array_equal(rows["account"], adj.nodes)
-            np.testing.assert_array_equal(rows["shard"], want)
-
-
 class TestSweep:
     @pytest.fixture(scope="class")
     def grid(self, spark, tx_df, tx_pdf, adj):
@@ -86,12 +69,11 @@ class TestSweep:
     def _row(self, grid, method, k, eta):
         return grid[(grid.method == method) & (grid.k == k) & (grid.eta == eta)].iloc[0]
 
-    def test_map_method_rows_are_spark_evaluation(self, grid, spark, tx_df, adj):
+    def test_map_method_rows_are_spark_evaluation(self, grid, tx_df, adj):
         """An account-mapping method is scored by the Spark pipeline once
         per k, rolled up at every η."""
-        alloc_df = alloc_to_df(spark, adj, [hash_alloc(adj.nodes, 4)])
         for eta in (2.0, 6.0):
-            m = evaluate(tx_df, alloc_df, k=4, eta=eta)
+            m = evaluate(tx_df, adj.nodes, hash_alloc(adj.nodes, 4), k=4, eta=eta)
             row = self._row(grid, "random", 4, eta)
             assert row["gamma"] == m.gamma
             assert row["norm_throughput"] == m.norm_throughput
